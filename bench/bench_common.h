@@ -19,15 +19,13 @@
 namespace cardir {
 namespace bench {
 
-// BENCH_*.json ledger schema note: numeric ratio fields that depend on an
-// optional baseline (bench_engine's "speedup_vs_serial": the serial loop
-// only runs for sizes within --serial-cap) are emitted as JSON null when
-// the baseline did not run. The same rule covers the mem_* columns: rows
-// whose measured code path runs outside the instrumented arenas (the
-// serial_loop mode allocates its relation matrix as a plain std::vector)
-// emit every mem_* column as null. Consumers must treat null as "not
-// measured"; a 0.00 (or 0) in such a field is a writer bug, not a
-// measurement.
+// BENCH_*.json ledger schema note: fields a row did not measure are
+// emitted as JSON null. Rows whose measured code path runs outside the
+// instrumented arenas (the serial_loop mode allocates its relation matrix
+// as a plain std::vector) emit every mem_* column as null, and only the
+// engine_delta* rows, which time a latency distribution, carry a p99_ms.
+// Consumers must treat null as "not measured"; a 0.00 (or 0) in such a
+// field is a writer bug, not a measurement.
 
 /// Counter deltas of one measured run: snapshot before, run, then
 /// `ObsWindow::Delta()`. Counters are process-cumulative, so every record

@@ -29,7 +29,7 @@
 namespace cardir {
 namespace {
 
-// Times the batch-caller pattern (the engine's WorkerScratch): the SoA
+// Times the batch-caller pattern (the sweep join's SweepScratch): the SoA
 // lane buffers are reused across calls, so their capacity is paid once,
 // not per pair.
 void BM_ComputeCdrPercent(benchmark::State& state) {
@@ -133,7 +133,7 @@ int RunLedger(const std::string& out_path, int repeat) {
     const size_t iterations = IterationsFor(edges);
 
     // The soa row times the batch-caller pattern (scratch reused across
-    // calls, as the engine's WorkerScratch does); the scalar row is the
+    // calls, as the sweep join's SweepScratch does); the scalar row is the
     // pre-SoA per-piece loop it replaced.
     CdrScratch scratch;
     double soa_best = 0.0;

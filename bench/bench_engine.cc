@@ -1,30 +1,26 @@
-// E20: batch relation engine throughput — serial all-pairs loop vs MBB
-// prefiltering vs the work-stealing thread pool, on 1k–10k-region
-// configurations. Plain main (not google-benchmark) because each data point
-// is one long wall-clock measurement and the binary also emits
-// BENCH_engine.json for the perf-trajectory ledger. Engine runs also record
-// the observability counters (prefilter hit rate, chunks stolen, pairs/sec)
-// so the bench trajectory captures more than wall-clock, and each run's
-// counters are checked against the engine's accounting invariants
-// (prefiltered + computed = total pairs; edges split ≥ edges in) — the
-// binary exits non-zero on a violation, which the nightly CI job relies on.
+// E20/E24/E25: relation engine throughput — the serial all-pairs loop vs
+// the sweep join (engine_sweep*) and single-mutation delta maintenance
+// (engine_delta*), on map and overlap configurations. Plain main (not
+// google-benchmark) because each data point is one long wall-clock
+// measurement and the binary also emits BENCH_engine.json for the
+// perf-trajectory ledger. Engine runs also record the observability
+// counters (prefilter hit rate, pairs/sec, edges split) so the bench
+// trajectory captures more than wall-clock, and each run's counters are
+// checked against the engine's accounting invariants (prefiltered +
+// computed = total pairs; edges split ≥ edges in) — the binary exits
+// non-zero on a violation, which the nightly CI job relies on.
 //
-//   bench_engine [--sizes 1000,2000] [--serial-cap 2000] [--engine-cap 25000]
-//                [--overlap 600] [--threads 2,8] [--repeat 1]
-//                [--out BENCH_engine.json] [--trace-out trace.json]
-//                [--flight-record record.txt] [--profile profile.folded]
-//                [--profile-hz 997]
+//   bench_engine [--sizes 1000,2000] [--serial-cap 2000] [--overlap 600]
+//                [--repeat 1] [--out BENCH_engine.json]
+//                [--trace-out trace.json] [--flight-record record.txt]
+//                [--profile profile.folded] [--profile-hz 997]
 //
 // Sizes above --serial-cap skip the serial baseline (quadratic, validated
-// per pair — minutes at 10k); sizes above 5000 use the engine's digest
-// mode so that 10^8-pair matrices do not have to be materialised. Sizes
-// above --engine-cap skip the dense-engine modes entirely and run only the
-// engine_sweep rows: the sweep join's run-length RelationStore is the only
-// mode whose memory stays sub-quadratic, so it alone covers n = 50k/100k.
-// --repeat N times each *engine* row N times and records the best wall
-// time (the serial baseline always runs once — it is quadratic and only a
-// reference point): single engine measurements on a loaded host can swing
-// ±50%, which would flake the perf-smoke gate that diffs ledgers.
+// per pair — minutes at 10k). --repeat N times each sweep row N times and
+// records the best wall time (the serial baseline always runs once — it is
+// quadratic and only a reference point): single engine measurements on a
+// loaded host can swing ±50%, which would flake the perf-smoke gate that
+// diffs ledgers.
 
 #include <algorithm>
 #include <chrono>
@@ -38,7 +34,6 @@
 
 #include "bench_common.h"
 #include "core/compute_cdr.h"
-#include "engine/batch_engine.h"
 #include "engine/delta_engine.h"
 #include "engine/relation_store.h"
 #include "engine/thread_pool.h"
@@ -127,17 +122,10 @@ struct RunRecord {
   size_t pairs = 0;
   size_t prefiltered_pairs = 0;
   size_t crossing_pairs = 0;
-  // Serial-loop wall time over this run's; 0 means "no serial baseline ran
-  // for this (workload, n)" and is emitted as JSON null, never as 0.00 —
-  // a literal zero would read as "infinitely slower than serial" to ledger
-  // consumers (see the schema note in bench_common.h).
-  double speedup_vs_serial = 0;
   // Observability counters over this run's window (zero when the binary was
   // built with -DCARDIR_OBS=OFF).
   double pairs_per_sec = 0;
   double prefilter_hit_rate = 0;
-  uint64_t chunks_executed = 0;
-  uint64_t chunks_stolen = 0;
   uint64_t edges_input = 0;
   uint64_t edges_split = 0;
   // Pairs the delta engine touched over this row's window, split by how
@@ -148,10 +136,7 @@ struct RunRecord {
   // Memory telemetry (obs/memstats.h): per-arena high-water bytes within
   // this run's window (ObsWindow resets peaks at window start) plus the
   // process RSS sampled at window close. All zero under -DCARDIR_OBS=OFF.
-  int64_t mem_pair_matrix_peak_bytes = 0;
   int64_t mem_edge_soa_peak_bytes = 0;
-  int64_t mem_worker_scratch_peak_bytes = 0;
-  int64_t mem_crossing_queue_peak_bytes = 0;
   int64_t mem_relation_store_peak_bytes = 0;
   int64_t mem_total_peak_bytes = 0;
   int64_t mem_process_rss_bytes = 0;
@@ -195,9 +180,9 @@ void CheckCounterInvariants(const RunRecord& r,
 
 // The loop Configuration::ComputeAllRelations ran before the engine:
 // validated Compute-CDR per ordered pair, results materialised in order.
-// Validation stays per pair (that is the cost the nofilter row isolates);
-// only the counter flush is batched, so the timed region carries the same
-// instrumentation overhead as the engine's chunked path.
+// Validation stays per pair; only the counter flush is batched, so the
+// timed region carries the same instrumentation overhead as the engine's
+// strip-batched path.
 double TimeSerialLoop(const std::vector<Region>& regions) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<CardinalRelation> matrix;
@@ -244,26 +229,6 @@ double TimeSweep(const std::vector<Region>& regions,
   return ms;
 }
 
-double TimeEngine(const std::vector<Region>& regions,
-                  const EngineOptions& options, bool digest_mode,
-                  EngineStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  if (digest_mode) {
-    auto digest = ComputeAllPairsDigest(regions, options, stats);
-    if (!digest.ok()) {
-      std::cerr << "engine failed: " << digest.status() << "\n";
-      std::exit(1);
-    }
-  } else {
-    auto pairs = ComputeAllPairs(regions, options, stats);
-    if (!pairs.ok()) {
-      std::cerr << "engine failed: " << pairs.status() << "\n";
-      std::exit(1);
-    }
-  }
-  return MsSince(start);
-}
-
 std::vector<int> ParseIntList(const std::string& text) {
   std::vector<int> values;
   for (const std::string& piece : StrSplit(text, ',')) {
@@ -283,18 +248,11 @@ void RecordCounters(RunRecord* r, const bench::ObsWindow& window) {
       total > 0 ? static_cast<double>(delta.counter("engine.pairs.prefiltered")) /
                       static_cast<double>(total)
                 : 0.0;
-  r->chunks_executed = delta.counter("engine.pool.chunks_executed");
-  r->chunks_stolen = delta.counter("engine.pool.chunks_stolen");
   r->edges_input = delta.counter("core.edges.input");
   r->edges_split = delta.counter("core.edges.split");
   r->delta_pairs_reresolved = delta.counter("delta.pairs_reresolved");
   r->delta_pairs_implicit = delta.counter("delta.pairs_implicit");
-  r->mem_pair_matrix_peak_bytes = delta.gauge("mem.pair_matrix.peak_bytes");
   r->mem_edge_soa_peak_bytes = delta.gauge("mem.edge_soa.peak_bytes");
-  r->mem_worker_scratch_peak_bytes =
-      delta.gauge("mem.worker_scratch.peak_bytes");
-  r->mem_crossing_queue_peak_bytes =
-      delta.gauge("mem.crossing_queue.peak_bytes");
   r->mem_relation_store_peak_bytes =
       delta.gauge("mem.relation_store.peak_bytes");
   r->mem_total_peak_bytes = delta.gauge("mem.total.peak_bytes");
@@ -317,13 +275,9 @@ void PrintRecord(const RunRecord& r) {
       r.ms > 0 ? static_cast<double>(r.pairs) / r.ms / 1000.0 : 0.0;
   std::printf(
       "%-8s n=%-6d %-18s threads=%-2d %10.1f ms  %8.2f Mpairs/s"
-      "  prefiltered=%zu crossing=%zu stolen=%llu%s\n",
+      "  prefiltered=%zu crossing=%zu\n",
       r.workload.c_str(), r.regions, r.mode.c_str(), r.threads, r.ms,
-      mpairs_s, r.prefiltered_pairs, r.crossing_pairs,
-      static_cast<unsigned long long>(r.chunks_stolen),
-      r.speedup_vs_serial > 0
-          ? StrFormat("  speedup=%.1fx", r.speedup_vs_serial).c_str()
-          : "");
+      mpairs_s, r.prefiltered_pairs, r.crossing_pairs);
 }
 
 void WriteJson(const std::vector<RunRecord>& records, int repeat,
@@ -333,11 +287,6 @@ void WriteJson(const std::vector<RunRecord>& records, int repeat,
       << repeat << ",\n  \"runs\": [\n";
   for (size_t i = 0; i < records.size(); ++i) {
     const RunRecord& r = records[i];
-    // Sizes above --serial-cap have no serial baseline: emit null, not
-    // 0.00, so ledger consumers can tell "not measured" from a ratio.
-    const std::string speedup =
-        r.speedup_vs_serial > 0 ? StrFormat("%.2f", r.speedup_vs_serial)
-                                : std::string("null");
     // Rows that ran outside the instrumented arenas (the serial loop) have
     // no memory measurement: every mem_* column is null, never 0 (see the
     // schema note in bench_common.h).
@@ -355,33 +304,23 @@ void WriteJson(const std::vector<RunRecord>& records, int repeat,
         "\"threads\": %d, \"prefilter\": %s, \"ms\": %.4f, "
         "\"p99_ms\": %s, \"pairs\": %zu, "
         "\"prefiltered_pairs\": %zu, \"crossing_pairs\": %zu, "
-        "\"speedup_vs_serial\": %s, \"pairs_per_sec\": %.0f, "
-        "\"prefilter_hit_rate\": %.4f, \"chunks_executed\": %llu, "
-        "\"chunks_stolen\": %llu, \"edges_input\": %llu, "
-        "\"edges_split\": %llu, \"delta_pairs_reresolved\": %llu, "
+        "\"pairs_per_sec\": %.0f, \"prefilter_hit_rate\": %.4f, "
+        "\"edges_input\": %llu, \"edges_split\": %llu, "
+        "\"delta_pairs_reresolved\": %llu, "
         "\"delta_pairs_implicit\": %llu, "
-        "\"mem_pair_matrix_peak_bytes\": %s, "
         "\"mem_edge_soa_peak_bytes\": %s, "
-        "\"mem_worker_scratch_peak_bytes\": %s, "
-        "\"mem_crossing_queue_peak_bytes\": %s, "
         "\"mem_relation_store_peak_bytes\": %s, "
         "\"mem_total_peak_bytes\": %s, "
         "\"mem_process_rss_bytes\": %s}%s\n",
         r.workload.c_str(), r.regions, r.mode.c_str(), r.threads,
         r.prefilter ? "true" : "false", r.ms, p99.c_str(), r.pairs,
         r.prefiltered_pairs,
-        r.crossing_pairs, speedup.c_str(), r.pairs_per_sec,
-        r.prefilter_hit_rate,
-        static_cast<unsigned long long>(r.chunks_executed),
-        static_cast<unsigned long long>(r.chunks_stolen),
+        r.crossing_pairs, r.pairs_per_sec, r.prefilter_hit_rate,
         static_cast<unsigned long long>(r.edges_input),
         static_cast<unsigned long long>(r.edges_split),
         static_cast<unsigned long long>(r.delta_pairs_reresolved),
         static_cast<unsigned long long>(r.delta_pairs_implicit),
-        mem(r.mem_pair_matrix_peak_bytes).c_str(),
         mem(r.mem_edge_soa_peak_bytes).c_str(),
-        mem(r.mem_worker_scratch_peak_bytes).c_str(),
-        mem(r.mem_crossing_queue_peak_bytes).c_str(),
         mem(r.mem_relation_store_peak_bytes).c_str(),
         mem(r.mem_total_peak_bytes).c_str(),
         mem(r.mem_process_rss_bytes).c_str(),
@@ -395,9 +334,7 @@ void WriteJson(const std::vector<RunRecord>& records, int repeat,
 
 int Main(int argc, char** argv) {
   std::vector<int> sizes = {1000, 2000};
-  std::vector<int> thread_counts = {2, 8};
   int serial_cap = 2000;
-  int engine_cap = 25000;
   int overlap_size = 600;
   int repeat = 1;
   std::string out_path = "BENCH_engine.json";
@@ -416,12 +353,8 @@ int Main(int argc, char** argv) {
     };
     if (arg == "--sizes") {
       sizes = ParseIntList(next());
-    } else if (arg == "--threads") {
-      thread_counts = ParseIntList(next());
     } else if (arg == "--serial-cap") {
       serial_cap = std::stoi(next());
-    } else if (arg == "--engine-cap") {
-      engine_cap = std::stoi(next());
     } else if (arg == "--overlap") {
       overlap_size = std::stoi(next());
     } else if (arg == "--repeat") {
@@ -462,8 +395,6 @@ int Main(int argc, char** argv) {
                           const std::vector<Region>& regions) {
     const int n = static_cast<int>(regions.size());
     const size_t pairs = static_cast<size_t>(n) * (n - 1);
-    const bool digest_mode = n > 5000;
-    double serial_ms = 0;
 
     if (n <= serial_cap) {
       RunRecord serial;
@@ -478,85 +409,16 @@ int Main(int argc, char** argv) {
       // The serial loop's relation matrix is a plain std::vector outside
       // the instrumented arenas — its mem columns are not a measurement.
       serial.mem_valid = false;
-      serial_ms = serial.ms;
       records.push_back(serial);
       PrintRecord(serial);
     }
 
-    // Best-of-`repeat` engine timing. Counters are recorded over the last
-    // repetition only (each repetition is deterministic, so the windows are
-    // identical — summing them would break the accounting invariants).
-    auto time_engine_best = [&](const EngineOptions& options,
-                                RunRecord* r, EngineStats* stats) {
-      double best = 0;
-      for (int rep = 0; rep < repeat; ++rep) {
-        const bench::ObsWindow window;
-        const double ms = TimeEngine(regions, options, digest_mode, stats);
-        if (rep == 0 || ms < best) best = ms;
-        if (rep + 1 == repeat) {
-          r->ms = best;
-          RecordCounters(r, window);
-        }
-      }
-    };
-
-    // Engine, no prefilter, 1 thread: isolates the once-per-region
-    // validation win over the serial loop.
-    if (n <= serial_cap) {
-      EngineOptions options;
-      options.threads = 1;
-      options.use_prefilter = false;
-      RunRecord r;
-      r.workload = name;
-      r.regions = n;
-      r.mode = "engine_nofilter";
-      r.threads = 1;
-      r.pairs = pairs;
-      EngineStats stats;
-      time_engine_best(options, &r, &stats);
-      if (serial_ms > 0) r.speedup_vs_serial = serial_ms / r.ms;
-      records.push_back(r);
-      PrintRecord(r);
-    }
-
-    // Engine with prefilter: 1 thread, the requested parallel counts, and
-    // one row at full hardware concurrency (threads = 0 lets the engine
-    // resolve it) so the ledger records the host's best-case scaling even
-    // when the fixed counts over- or under-subscribe the machine. Sizes
-    // above --engine-cap skip these: even the digest mode still *examines*
-    // every ordered pair, which at 50k regions is 2.5·10^9 Compute-CDR
-    // prefilter probes.
-    if (n <= engine_cap) {
-      std::vector<int> engine_threads = {1};
-      engine_threads.insert(engine_threads.end(), thread_counts.begin(),
-                            thread_counts.end());
-      engine_threads.push_back(0);
-      for (int threads : engine_threads) {
-        EngineOptions options;
-        options.threads = threads;
-        options.use_prefilter = true;
-        RunRecord r;
-        r.workload = name;
-        r.regions = n;
-        r.mode = threads == 1 ? "engine_prefilter"
-                 : threads == 0 ? "engine_parallel_hw"
-                                : "engine_parallel";
-        r.threads = threads == 0 ? ThreadPool::ResolveThreadCount(0) : threads;
-        r.prefilter = true;
-        r.pairs = pairs;
-        EngineStats stats;
-        time_engine_best(options, &r, &stats);
-        r.prefiltered_pairs = stats.prefiltered_pairs;
-        r.crossing_pairs = stats.crossing_pairs;
-        if (serial_ms > 0) r.speedup_vs_serial = serial_ms / r.ms;
-        records.push_back(r);
-        PrintRecord(r);
-      }
-    }
-
-    // Sweep join: the only mode that never enumerates the quadratic pair
-    // space, so it runs at every size. One serial row and one at full
-    // hardware concurrency (strip-parallel).
+    // Sweep join: never enumerates the quadratic pair space, so it runs at
+    // every size. One serial row and one at full hardware concurrency
+    // (strip-parallel). Best-of-`repeat` timing; counters are recorded over
+    // the last repetition only (each repetition is deterministic, so the
+    // windows are identical — summing them would break the accounting
+    // invariants).
     for (const int threads : {1, 0}) {
       EngineOptions options;
       options.threads = threads;
@@ -581,7 +443,6 @@ int Main(int argc, char** argv) {
       }
       r.prefiltered_pairs = stats.prefiltered_pairs;
       r.crossing_pairs = stats.crossing_pairs;
-      if (serial_ms > 0) r.speedup_vs_serial = serial_ms / r.ms;
       records.push_back(r);
       PrintRecord(r);
     }

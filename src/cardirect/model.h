@@ -14,7 +14,6 @@
 
 #include "core/cardinal_relation.h"
 #include "core/percentage_matrix.h"
-#include "engine/batch_engine.h"
 #include "engine/delta_engine.h"
 #include "engine/relation_store.h"
 #include "geometry/region.h"

@@ -30,8 +30,8 @@ CdrComputation ComputeCdrUnchecked(const Region& primary,
   CARDIR_DCHECK(!mbb.IsEmpty());
   // No profiler frame here: one Compute-CDR is ~100 ns, so even a cheap
   // frame push/pop per call shows up as tens of percent on the batch
-  // workloads. Callers that loop over pairs open a chunk-granularity
-  // "cdr.compute" frame instead (engine/batch_engine.cc).
+  // workloads. Callers that loop over pairs open a strip-granularity
+  // "cdr.compute" frame instead (engine/sweep_join.cc).
   const Point center = mbb.Center();
 
   CdrComputation result;

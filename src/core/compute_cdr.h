@@ -43,7 +43,7 @@ Result<CardinalRelation> ComputeCdr(const Region& primary,
                                     const Region& reference);
 
 /// Locally aggregated Compute-CDR instrumentation for tight loops. A caller
-/// invoking Compute-CDR once per pair (the batch engine's chunk loop, the
+/// invoking Compute-CDR once per pair (the sweep join's strip loop, the
 /// benchmark all-pairs loops) accumulates into one of these — plain integer
 /// adds — and flushes to the metrics registry once per chunk, keeping
 /// per-call atomics off the hot path (~22 ns per 4-counter flush on a
@@ -60,10 +60,10 @@ struct CdrMetricsDelta {
 
 /// Reusable working memory for Compute-CDR and Compute-CDR%. A fresh run's
 /// only heap allocation is the SoA sub-edge scratch the edge splitter
-/// appends into (core/edge_soa.h); a caller computing many pairs (the batch
-/// engine's phase-2 crossing chunks via `WorkerScratch`, the benchmark
-/// loops) keeps one CdrScratch per thread and hands it to every call, so
-/// the lane capacity is paid once instead of per pair.
+/// appends into (core/edge_soa.h); a caller computing many pairs (the sweep
+/// join's emit strips and the delta engine via their per-worker scratch,
+/// the benchmark loops) keeps one CdrScratch per thread and hands it to
+/// every call, so the lane capacity is paid once instead of per pair.
 struct CdrScratch {
   EdgeSoA soa;
 };
@@ -88,7 +88,7 @@ CdrComputation ComputeCdrUnchecked(const Region& primary,
 /// Like the four-argument form, but takes the reference's bounding box
 /// directly — the algorithm never looks at the reference's geometry beyond
 /// its mbb, and a caller computing many pairs against profiled boxes (the
-/// batch engine) already holds every mbb, so re-deriving it from the
+/// sweep join) already holds every mbb, so re-deriving it from the
 /// polygon vertices on each call would be the dominant per-pair overhead.
 CdrComputation ComputeCdrUnchecked(const Region& primary,
                                    const Box& reference_mbb,

@@ -1,6 +1,6 @@
 // Struct-of-arrays sub-edge pipeline for the Compute-CDR hot path.
 //
-// The per-pair cost of a *crossing* pair (one the batch engine's interval
+// The per-pair cost of a *crossing* pair (one the sweep join's interval
 // kernel cannot resolve from boxes) is the §3.1 edge division plus per-piece
 // tile classification. The AoS pipeline (core/edge_splitter.h) materialises
 // a `ClassifiedEdge` struct per piece and classifies each piece with a
@@ -44,8 +44,8 @@ namespace cardir {
 /// `count` is the number of live lanes (the vectors are capacity, not
 /// size-authoritative — `Clear` keeps the allocations). One EdgeSoA per
 /// worker thread amortises the buffers across every pair the worker
-/// computes (the engine's phase-2 crossing chunks hand one through
-/// `WorkerScratch`/`CdrScratch`).
+/// computes (the sweep join's emit strips hand one through
+/// `SweepScratch`/`CdrScratch`).
 struct EdgeSoA {
   EdgeSoA() = default;
   // Move-only: the lane buffers are charged to the mem.edge_soa telemetry

@@ -177,7 +177,7 @@ Result<DeltaResult> DeltaEngine::Insert(Region region) {
   size_t reresolved = 0;
   size_t implicit = 0;
   for (const uint32_t j : ws.affected) {
-    const uint8_t code_ij = store_.ClassPairCode(id, j);
+    const uint8_t code_ij = ClassPairCode(profile, id, j);
     if (!RelationStore::ResolvableCode(code_ij)) {
       ws.cols.push_back(j);
       ws.masks.push_back(ResolveExplicitMask(code_ij, regions_[id], boxes_[j],
@@ -187,7 +187,7 @@ Result<DeltaResult> DeltaEngine::Insert(Region region) {
     } else {
       ++implicit;
     }
-    const uint8_t code_ji = store_.ClassPairCode(j, id);
+    const uint8_t code_ji = ClassPairCode(profile, j, id);
     if (!RelationStore::ResolvableCode(code_ji)) {
       const uint16_t mask =
           ResolveExplicitMask(code_ji, regions_[j], box, profile, j, id, poly_,
@@ -247,7 +247,7 @@ Result<DeltaResult> DeltaEngine::Move(size_t id, Region geometry) {
   ws.was_explicit.reserve(ws.affected.size());
   for (const uint32_t j : ws.affected) {
     ws.was_explicit.push_back(static_cast<uint8_t>(
-        RelationStore::ResolvableCode(store_.ClassPairCode(j, id)) ? 0 : 1));
+        RelationStore::ResolvableCode(ClassPairCode(profile, j, id)) ? 0 : 1));
   }
 
   store_.SetRegionBox(id, new_box);
@@ -269,7 +269,7 @@ Result<DeltaResult> DeltaEngine::Move(size_t id, Region geometry) {
   size_t implicit = 0;
   for (size_t k = 0; k < ws.affected.size(); ++k) {
     const uint32_t j = ws.affected[k];
-    const uint8_t code_ij = store_.ClassPairCode(id, j);
+    const uint8_t code_ij = ClassPairCode(profile, id, j);
     if (!RelationStore::ResolvableCode(code_ij)) {
       ws.cols.push_back(j);
       ws.masks.push_back(ResolveExplicitMask(code_ij, regions_[id], boxes_[j],
@@ -279,7 +279,7 @@ Result<DeltaResult> DeltaEngine::Move(size_t id, Region geometry) {
     } else {
       ++implicit;
     }
-    const uint8_t code_ji = store_.ClassPairCode(j, id);
+    const uint8_t code_ji = ClassPairCode(profile, j, id);
     const bool was = ws.was_explicit[k] != 0;
     if (!RelationStore::ResolvableCode(code_ji)) {
       const uint16_t mask =
@@ -329,7 +329,7 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
   DeltaResult result;
   result.touched.reserve(ws.affected.size() * 2);
   for (const uint32_t j : ws.affected) {
-    if (!RelationStore::ResolvableCode(store_.ClassPairCode(j, id))) {
+    if (!RelationStore::ResolvableCode(ClassPairCode(profile, j, id))) {
       store_.PatchPair(j, id, /*was_explicit=*/true, /*now_explicit=*/false,
                        0);
     }

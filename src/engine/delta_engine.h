@@ -23,9 +23,9 @@
 // relation_store.h and DESIGN.md §3.20).
 //
 // Correctness contract: after any mutation sequence, Digest() is
-// bit-identical to a fresh ComputeAllPairs / ComputeRelationStore over the
-// same geometries (the randomized mutation-script oracle in
-// tests/engine/delta_engine_test.cc holds the two against each other).
+// bit-identical to the serial Compute-CDR loop over the same geometries (the
+// randomized mutation-script oracle in tests/engine/delta_engine_test.cc
+// holds the two against each other).
 //
 // Locking discipline: one mutex serializes Insert/Move/Remove/Digest; the
 // per-engine DeltaScratch is reused under that lock. `store()` returns the
@@ -42,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/batch_engine.h"
 #include "engine/interval_index.h"
 #include "engine/relation_store.h"
 #include "geometry/region.h"
@@ -118,7 +117,8 @@ class DeltaEngine {
   Result<DeltaResult> Remove(size_t id);
 
   /// Order-independent digest over all pairs — bit-identical to a fresh
-  /// ComputeAllPairsDigest on the current geometries. Takes the lock.
+  /// ComputeRelationStore(...).Digest() on the current geometries. Takes
+  /// the lock.
   uint64_t Digest() const;
 
   size_t regions() const { return regions_.size(); }

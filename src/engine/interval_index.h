@@ -219,8 +219,8 @@ inline uint16_t ResolveExplicitMask(uint8_t code, const Region& primary,
   const uint8_t cy = static_cast<uint8_t>(code & 0b0011u);
   if (profile.cross_override[i] != 0 || profile.cross_override[j] != 0 ||
       (cx == 3 && cy == 3)) {
-    // Degenerate box or both axes crossing: the dense engine's crossing
-    // path, full Compute-CDR against the profiled mbb.
+    // Degenerate box or both axes crossing: full Compute-CDR against the
+    // profiled mbb.
     return ComputeCdrUnchecked(primary, reference_box, metrics, scratch)
         .relation.mask();
   }

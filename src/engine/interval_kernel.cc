@@ -6,11 +6,6 @@
 #include "core/tile.h"
 #include "engine/prefilter.h"
 #include "util/string_util.h"
-// Runtime ISA dispatch for the batched entry points (CARDIR_KERNEL_CLONES,
-// shared with the core SoA kernels): multi-versioned for AVX2 with GNU
-// ifunc dispatch on x86-64 GCC, compiled out under the sanitizers and on
-// non-GCC/non-x86 toolchains. See util/target_clones.h for the rationale.
-#include "util/target_clones.h"
 
 namespace cardir {
 namespace {
@@ -33,16 +28,14 @@ BuildClassPairRelationTable() {
 constexpr std::array<uint16_t, kNumClassPairCodes> kClassPairRelationTable =
     BuildClassPairRelationTable();
 
-// ---- Compile-time table proofs -------------------------------------------
+// ---- Compile-time table proof -------------------------------------------
 //
-// PR 4 validated the class-pair table against TileAt and the prefilter at
-// engine startup (ValidateClassKernelOnce); these static_asserts promote
-// the table/TileAt agreement to a build break, so a drifted table can never
-// even link. The runtime sweep against MbbPrefilterRelation survives as a
-// debug-only cross-check (audit builds and tests/engine/interval_kernel_test)
-// because MbbPrefilterRelation lives behind std::optional plumbing that is
-// more naturally exercised at runtime.
-
+// The table/TileAt agreement is a build break, so a drifted table can never
+// even link. The runtime grid against MbbPrefilterRelation
+// (ValidateClassKernelOnce) stays a debug-only cross-check because
+// MbbPrefilterRelation lives behind std::optional plumbing that is more
+// naturally exercised at runtime.
+//
 // Every one of the 16 class-pair codes, checked in both orientations:
 // forward (a resolvable (x class, y class) code maps to exactly the
 // single-tile mask of TileAt(x, y), a kCross code maps to 0) and backward
@@ -78,99 +71,29 @@ static_assert(ClassPairTableAgreesWithTileAt(),
               "engine/interval_kernel: class-pair relation table disagrees "
               "with core/tile.h's TileAt");
 
-// The branch-free arithmetic select of the classification passes, as a
-// constexpr scalar model: cls = 2*high + mid, or kCross when no predicate
-// (or two predicates) holds. ClassifyAxis and ClassifyBandsAxis both
-// evaluate exactly these comparisons (with operand roles swapped in the
-// transposed kernel), so proving the model equal to the documented cascade
-// covers both orientations of the batched kernel.
-constexpr IntervalClass BranchFreeClassModel(double lo, double hi, double m1,
-                                             double m2) {
-  const unsigned low = static_cast<unsigned>(hi <= m1);
-  const unsigned high = static_cast<unsigned>(lo >= m2);
-  const unsigned mid = static_cast<unsigned>(lo >= m1) &
-                       static_cast<unsigned>(hi <= m2);
-  const unsigned cls = 2u * high + mid + 3u * (1u - (low | high | mid));
-  return static_cast<IntervalClass>(cls);
-}
-
-// Exhaustive sweep of the same coordinate grid the runtime validation uses
-// (both reference lines hit exactly, strictly-inside/outside and straddling
-// extents): on every non-degenerate extent against the non-degenerate band
-// the branch-free select must agree with the reference cascade
-// ClassifyIntervalClass. Degenerate extents are excluded exactly as in the
-// kernel, where they carry cross_override.
-constexpr bool BranchFreeSelectMatchesCascade() {
-  constexpr double kCoords[] = {4, 8, 10, 12, 15, 18, 20, 24, 28};
-  constexpr double kM1 = 10;
-  constexpr double kM2 = 20;
-  for (double lo : kCoords) {
-    for (double hi : kCoords) {
-      if (lo >= hi) continue;  // Degenerate/invalid extents excluded.
-      IntervalClass expected = IntervalClass::kCross;
-      if (hi <= kM1) {
-        expected = IntervalClass::kLow;
-      } else if (lo >= kM2) {
-        expected = IntervalClass::kHigh;
-      } else if (lo >= kM1 && hi <= kM2) {
-        expected = IntervalClass::kMid;
-      }
-      if (BranchFreeClassModel(lo, hi, kM1, kM2) != expected) return false;
-    }
-  }
-  return true;
-}
-static_assert(BranchFreeSelectMatchesCascade(),
-              "engine/interval_kernel: branch-free class select disagrees "
-              "with the ClassifyIntervalClass cascade");
 // --------------------------------------------------------------------------
 
-// One branch-free axis pass: codes[i] op= (class of [lo[i], hi[i]] within
-// [m1, m2]) << shift. With a non-degenerate band (m1 < m2) and a
-// non-degenerate extent (lo < hi) at most one of low/mid/high holds, so the
-// arithmetic select is exact; degenerate extents may satisfy two predicates
-// at once, but those boxes carry cross_override and the garbage class is
-// OR-ed away. The y pass (kShift == 0) folds the override in (`over`
-// non-null there, unused in the x pass) so each row takes exactly two
-// passes over the code bytes.
-template <int kShift>
-void ClassifyAxis(const double* lo, const double* hi, size_t n, double m1,
-                  double m2, const uint8_t* over, uint8_t* codes) {
-  for (size_t i = 0; i < n; ++i) {
-    const unsigned low = static_cast<unsigned>(hi[i] <= m1);
-    const unsigned high = static_cast<unsigned>(lo[i] >= m2);
-    const unsigned mid = static_cast<unsigned>(lo[i] >= m1) &
-                         static_cast<unsigned>(hi[i] <= m2);
-    const unsigned cls = 2u * high + mid + 3u * (1u - (low | high | mid));
-    if constexpr (kShift == 0) {
-      codes[i] = static_cast<uint8_t>(codes[i] | cls | over[i]);
-    } else {
-      codes[i] = static_cast<uint8_t>(cls << kShift);
-    }
+// One pair's code against the per-pair oracle: a resolvable code must carry
+// exactly MbbPrefilterRelation's relation, a non-resolvable one must be a
+// pair the oracle declines.
+Status CheckCodeAgainstPrefilter(uint8_t code, const Box& primary,
+                                 const Box& reference) {
+  const CardinalRelation relation = ClassPairRelations()[code];
+  const std::optional<CardinalRelation> oracle =
+      MbbPrefilterRelation(primary, reference);
+  if (oracle.has_value() != !relation.IsEmpty() ||
+      (oracle.has_value() && *oracle != relation)) {
+    return Status::Internal(StrFormat(
+        "interval kernel disagrees with MbbPrefilterRelation on primary "
+        "[%g,%g]x[%g,%g] vs reference [%g,%g]x[%g,%g]: code %u relation %s "
+        "vs oracle %s",
+        primary.min_x(), primary.max_x(), primary.min_y(), primary.max_y(),
+        reference.min_x(), reference.max_x(), reference.min_y(),
+        reference.max_y(), static_cast<unsigned>(code),
+        relation.ToString().c_str(),
+        oracle.has_value() ? oracle->ToString().c_str() : "(none)"));
   }
-}
-
-// Transposed axis pass: a scalar extent [lo, hi] against per-element bands
-// [m1[j], m2[j]]. Same comparisons as ClassifyAxis with the operand roles
-// swapped; the same degenerate-overlap argument applies (a band with
-// m1[j] == m2[j] can satisfy two predicates, but such boxes carry
-// cross_override and the garbage class is OR-ed away).
-template <int kShift>
-void ClassifyBandsAxis(double lo, double hi, const double* m1,
-                       const double* m2, size_t n, const uint8_t* over,
-                       uint8_t* codes) {
-  for (size_t j = 0; j < n; ++j) {
-    const unsigned low = static_cast<unsigned>(hi <= m1[j]);
-    const unsigned high = static_cast<unsigned>(lo >= m2[j]);
-    const unsigned mid = static_cast<unsigned>(lo >= m1[j]) &
-                         static_cast<unsigned>(hi <= m2[j]);
-    const unsigned cls = 2u * high + mid + 3u * (1u - (low | high | mid));
-    if constexpr (kShift == 0) {
-      codes[j] = static_cast<uint8_t>(codes[j] | cls | over[j]);
-    } else {
-      codes[j] = static_cast<uint8_t>(cls << kShift);
-    }
-  }
+  return Status::Ok();
 }
 
 Status ValidateClassKernel() {
@@ -189,25 +112,15 @@ Status ValidateClassKernel() {
       }
     }
   }
+  // The reference is profiled last, so every grid box is classified against
+  // it through the same ClassPairCode the store runs.
+  const size_t ref = boxes.size();
+  boxes.push_back(reference);
   const RegionProfile profile = RegionProfile::FromBoxes(boxes);
-  std::vector<uint8_t> codes(boxes.size());
-  ClassifyAgainstReference(profile, reference, codes.data());
-  const std::array<uint16_t, kNumClassPairCodes>& table =
-      ClassPairRelationTable();
-  for (size_t i = 0; i < boxes.size(); ++i) {
-    const uint16_t mask = table[codes[i]];
-    const std::optional<CardinalRelation> oracle =
-        MbbPrefilterRelation(boxes[i], reference);
-    if (oracle.has_value() != (mask != 0) ||
-        (oracle.has_value() && oracle->mask() != mask)) {
-      return Status::Internal(StrFormat(
-          "interval kernel disagrees with MbbPrefilterRelation on box "
-          "[%g,%g]x[%g,%g]: code %u mask %u vs oracle %s",
-          boxes[i].min_x(), boxes[i].max_x(), boxes[i].min_y(),
-          boxes[i].max_y(), static_cast<unsigned>(codes[i]),
-          static_cast<unsigned>(mask),
-          oracle.has_value() ? oracle->ToString().c_str() : "(none)"));
-    }
+  for (size_t i = 0; i < ref; ++i) {
+    const uint8_t code = ClassPairCode(profile, i, ref);
+    CARDIR_RETURN_IF_ERROR(
+        CheckCodeAgainstPrefilter(code, boxes[i], reference));
     // The Allen coarsening must agree with the class codes wherever the
     // Allen classification is defined (non-degenerate extents).
     if (!boxes[i].IsDegenerate() && !boxes[i].IsEmpty()) {
@@ -217,38 +130,24 @@ Status ValidateClassKernel() {
       const IntervalClass y_allen = IntervalClassOfAllen(
           ClassifyIntervals(boxes[i].min_y(), boxes[i].max_y(),
                             reference.min_y(), reference.max_y()));
-      if (codes[i] != ((static_cast<uint8_t>(x_allen) << 2) |
-                       static_cast<uint8_t>(y_allen))) {
+      if (code != ((static_cast<uint8_t>(x_allen) << 2) |
+                   static_cast<uint8_t>(y_allen))) {
         return Status::Internal(StrFormat(
             "interval kernel disagrees with the Allen coarsening on box "
             "[%g,%g]x[%g,%g]: code %u vs (%d, %d)",
             boxes[i].min_x(), boxes[i].max_x(), boxes[i].min_y(),
-            boxes[i].max_y(), static_cast<unsigned>(codes[i]),
+            boxes[i].max_y(), static_cast<unsigned>(code),
             static_cast<int>(x_allen), static_cast<int>(y_allen)));
       }
     }
   }
-  // Transposed kernel: a stride-subsample of the boxes acts as the primary
-  // against every box taken as the reference band; each code must agree
-  // with the pairwise oracle.
-  std::vector<uint8_t> band_codes(boxes.size());
-  for (size_t p = 0; p < boxes.size(); p += 31) {
-    if (boxes[p].IsDegenerate() || boxes[p].IsEmpty()) continue;
-    ClassifyAgainstBands(profile, boxes[p], band_codes.data());
+  // Swapped roles: a stride-subsample of the grid acts as the primary
+  // against every box taken as the reference, degenerate references
+  // included.
+  for (size_t p = 0; p < ref; p += 31) {
     for (size_t j = 0; j < boxes.size(); ++j) {
-      const uint16_t mask = table[band_codes[j]];
-      const std::optional<CardinalRelation> oracle =
-          MbbPrefilterRelation(boxes[p], boxes[j]);
-      if (oracle.has_value() != (mask != 0) ||
-          (oracle.has_value() && oracle->mask() != mask)) {
-        return Status::Internal(StrFormat(
-            "transposed interval kernel disagrees with "
-            "MbbPrefilterRelation on primary #%zu vs reference #%zu: "
-            "code %u mask %u vs oracle %s",
-            p, j, static_cast<unsigned>(band_codes[j]),
-            static_cast<unsigned>(mask),
-            oracle.has_value() ? oracle->ToString().c_str() : "(none)"));
-      }
+      CARDIR_RETURN_IF_ERROR(CheckCodeAgainstPrefilter(
+          ClassPairCode(profile, p, j), boxes[p], boxes[j]));
     }
   }
   return Status::Ok();
@@ -291,36 +190,6 @@ const std::array<CardinalRelation, kNumClassPairCodes>& ClassPairRelations() {
         return out;
       }();
   return relations;
-}
-
-IntervalClass ClassifyIntervalClass(double lo, double hi, double m1,
-                                    double m2) {
-  if (hi <= m1) return IntervalClass::kLow;
-  if (lo >= m2) return IntervalClass::kHigh;
-  if (lo >= m1 && hi <= m2) return IntervalClass::kMid;
-  return IntervalClass::kCross;
-}
-
-CARDIR_KERNEL_CLONES
-void ClassifyAgainstReference(const RegionProfile& profile,
-                              const Box& reference, uint8_t* codes) {
-  const size_t n = profile.size();
-  ClassifyAxis<2>(profile.min_x.data(), profile.max_x.data(), n,
-                  reference.min_x(), reference.max_x(), nullptr, codes);
-  ClassifyAxis<0>(profile.min_y.data(), profile.max_y.data(), n,
-                  reference.min_y(), reference.max_y(),
-                  profile.cross_override.data(), codes);
-}
-
-CARDIR_KERNEL_CLONES
-void ClassifyAgainstBands(const RegionProfile& profile, const Box& primary,
-                          uint8_t* codes) {
-  const size_t n = profile.size();
-  ClassifyBandsAxis<2>(primary.min_x(), primary.max_x(), profile.min_x.data(),
-                       profile.max_x.data(), n, nullptr, codes);
-  ClassifyBandsAxis<0>(primary.min_y(), primary.max_y(), profile.min_y.data(),
-                       profile.max_y.data(), n,
-                       profile.cross_override.data(), codes);
 }
 
 IntervalClass IntervalClassOfAllen(AllenRelation r) {

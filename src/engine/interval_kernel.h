@@ -1,10 +1,11 @@
-// Batched interval-classification kernel for the batch engine's planner.
+// Interval-classification kernel: resolves a pair of bounding boxes to its
+// cardinal direction relation in O(1), or flags it for the full algorithm.
 //
 // The paper's §4 observation: the cardinal direction relation between two
 // bounding boxes factors into two independent 1-D interval relations — the
-// x-projections and the y-projections. The kernel exploits this in bulk:
-// each axis of a primary's mbb is classified against the two reference
-// lines of that axis into one of four *interval classes*
+// x-projections and the y-projections. Each axis of a primary's mbb is
+// classified against the two reference lines of that axis into one of four
+// *interval classes*
 //
 //   kLow   — entirely on the low side   (hi <= m1;  West resp. South)
 //   kMid   — inside the band            (m1 <= lo and hi <= m2)
@@ -15,17 +16,14 @@
 // (x class, y class) pair with neither class kCross determines the 9-tile
 // relation by table lookup — `ClassPairRelationTable()[code]` — and a pair
 // with a kCross class is exactly a pair whose mbb properly crosses a
-// reference line (or involves a degenerate box): the crossing set the old
-// planner derived from four R-tree line queries per reference falls out of
-// the class codes for free.
+// reference line (or involves a degenerate box).
 //
-// The classification runs over a struct-of-arrays `RegionProfile` (one
-// contiguous double array per bound), two branch-free passes per reference,
-// so the hot loop streams memory instead of chasing Region pointers and
-// auto-vectorizes. The class-pair table and the branch-free class select
-// are proven against core/tile.h's TileAt at compile time (static_asserts
-// in interval_kernel.cc); `ValidateClassKernelOnce` keeps the runtime sweep
-// against `MbbPrefilterRelation` as a debug-only cross-check (audit builds
+// `ClassPairCode` is the one place that arithmetic lives: the relation
+// store's implicit reads, the sweep join's candidate filter and the delta
+// engine's dirty-pair resolution all call it. The class-pair table is
+// proven against core/tile.h's TileAt at compile time (static_assert in
+// interval_kernel.cc); `ValidateClassKernelOnce` cross-checks
+// `ClassPairCode` against `MbbPrefilterRelation` at runtime (audit builds
 // and tests); `IntervalClassOfAllen` bridges the classes to the Allen
 // interval algebra of reasoning/interval_algebra.h (each class is a
 // coarsening of a block of Allen relations).
@@ -34,6 +32,7 @@
 #define CARDIR_ENGINE_INTERVAL_KERNEL_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -52,12 +51,11 @@ enum class IntervalClass : uint8_t {
   kCross = 3,  ///< Properly straddles m1 or m2 (or degenerate input).
 };
 
-/// Struct-of-arrays bounding-box profile of an engine run's regions, built
-/// once per run so the per-reference classification passes stream four
-/// contiguous double arrays. `cross_override[i]` is 0b1111 when box i is
-/// empty or degenerate (zero width/height) — OR-ing it into the class code
-/// forces both axes to kCross, routing the pair to the full algorithm, the
-/// same bail-out MbbPrefilterRelation takes.
+/// Struct-of-arrays bounding-box profile of a set of regions (one
+/// contiguous double array per bound). `cross_override[i]` is 0b1111 when
+/// box i is empty or degenerate (zero width/height) — OR-ing it into the
+/// class code forces both axes to kCross, routing the pair to the full
+/// algorithm, the same bail-out MbbPrefilterRelation takes.
 struct RegionProfile {
   std::vector<double> min_x, max_x, min_y, max_y;
   std::vector<uint8_t> cross_override;
@@ -75,41 +73,43 @@ inline constexpr uint8_t kNumClassPairCodes = 16;
 /// class is kCross (pair not box-resolvable). Built from core/tile.h's
 /// TileAt as a constexpr table, never transcribed by hand, and proven
 /// against TileAt in both orientations by static_assert (see the
-/// compile-time table proofs in interval_kernel.cc) — divergence is a build
+/// compile-time table proof in interval_kernel.cc) — divergence is a build
 /// break, not a startup abort.
 const std::array<uint16_t, kNumClassPairCodes>& ClassPairRelationTable();
 
 /// The same table as ready-made CardinalRelation values (the empty relation
-/// — IsEmpty() — for non-resolvable codes), so the engine's hot loop sinks
-/// table entries directly instead of re-checking the mask through
+/// — IsEmpty() — for non-resolvable codes), so hot loops return table
+/// entries directly instead of re-checking the mask through
 /// CardinalRelation::FromMask per pair.
 const std::array<CardinalRelation, kNumClassPairCodes>& ClassPairRelations();
 
-/// Scalar reference classification of one axis (the semantics the batched
-/// passes implement branch-free). Degenerate extents (lo == hi) and
-/// degenerate bands (m1 == m2) are the caller's problem — the batched path
-/// handles them with `cross_override` / by skipping the reference.
-IntervalClass ClassifyIntervalClass(double lo, double hi, double m1,
-                                    double m2);
+/// Classifies one axis extent [lo, hi] against the band [m1, m2].
+/// Degenerate extents (lo == hi) and degenerate bands (m1 == m2) are the
+/// caller's problem — ClassPairCode masks them with `cross_override`.
+inline IntervalClass ClassifyIntervalClass(double lo, double hi, double m1,
+                                           double m2) {
+  if (hi <= m1) return IntervalClass::kLow;
+  if (lo >= m2) return IntervalClass::kHigh;
+  if (lo >= m1 && hi <= m2) return IntervalClass::kMid;
+  return IntervalClass::kCross;
+}
 
-/// Classifies all profiled boxes against `reference` (which must be
-/// non-empty and non-degenerate): writes the class-pair code of box i into
-/// `codes[i]` (capacity ≥ profile.size()) in two branch-free passes.
-/// `ClassPairRelationTable()[codes[i]]` then yields box i's relation mask,
-/// or 0 when the pair needs the full Compute-CDR.
-void ClassifyAgainstReference(const RegionProfile& profile,
-                              const Box& reference, uint8_t* codes);
-
-/// The transposed kernel: classifies one primary box (which must be
-/// non-empty and non-degenerate) against every profiled box taken as the
-/// *reference*, writing the class-pair code of pair (primary, box j) into
-/// `codes[j]`. Elementwise this computes exactly the same comparisons as
-/// ClassifyAgainstReference — the engine uses this orientation so that one
-/// primary's output row is emitted contiguously (the canonical merge order
-/// is row-major by primary). Codes for degenerate/empty reference boxes
-/// come out as non-resolvable via their cross_override.
-void ClassifyAgainstBands(const RegionProfile& profile,
-                          const Box& primary, uint8_t* codes);
+/// The class-pair code of profiled boxes (primary i, reference j):
+/// (x class << 2) | y class, with both boxes' degenerate overrides OR-ed
+/// in. `ClassPairRelations()[code]` is the pair's relation whenever the
+/// code is resolvable (no kCross axis).
+inline uint8_t ClassPairCode(const RegionProfile& profile, size_t i,
+                             size_t j) {
+  const uint8_t cx = static_cast<uint8_t>(
+      ClassifyIntervalClass(profile.min_x[i], profile.max_x[i],
+                            profile.min_x[j], profile.max_x[j]));
+  const uint8_t cy = static_cast<uint8_t>(
+      ClassifyIntervalClass(profile.min_y[i], profile.max_y[i],
+                            profile.min_y[j], profile.max_y[j]));
+  return static_cast<uint8_t>(static_cast<uint8_t>(cx << 2 | cy) |
+                              profile.cross_override[i] |
+                              profile.cross_override[j]);
+}
 
 /// The interval class that Allen relation `r` between a primary interval
 /// and the reference band coarsens to: {before, meets} → kLow, {during,
@@ -118,15 +118,12 @@ void ClassifyAgainstBands(const RegionProfile& profile,
 /// startedBy, overlappedBy) → kCross.
 IntervalClass IntervalClassOfAllen(AllenRelation r);
 
-/// Cross-checks the kernel (class codes + relation table) against
-/// MbbPrefilterRelation over a sweep of box pairs, including touching,
+/// Cross-checks ClassPairCode + the relation table against
+/// MbbPrefilterRelation over a grid of box pairs, including touching,
 /// corner-sharing, nested, identical and degenerate boxes, and checks the
-/// Allen coarsening on the non-degenerate pairs. Runs the sweep once per
-/// process (subsequent calls return the cached status). Since the table and
-/// the branch-free class select are proven against TileAt at compile time
-/// (static_asserts in interval_kernel.cc), this runtime sweep is a
-/// debug-only cross-check: the engine runs it only in audit builds
-/// (CARDIR_AUDIT=ON); tests call it directly.
+/// Allen coarsening on the non-degenerate pairs. Runs the grid once per
+/// process (subsequent calls return the cached status). The sweep join
+/// runs it only in audit builds (CARDIR_AUDIT=ON); tests call it directly.
 Status ValidateClassKernelOnce();
 
 }  // namespace cardir

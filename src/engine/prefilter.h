@@ -1,4 +1,5 @@
-// MBB-derived relation bounds for the batch engine's planner.
+// MBB-derived relation bounds: the per-pair semantics reference that the
+// interval kernel (engine/interval_kernel.h) is checked against.
 //
 // When the primary region's mbb fits inside a single column band and a
 // single row band of the reference region's mbb, every point of the primary
@@ -40,7 +41,7 @@ std::optional<CardinalRelation> MbbPrefilterRelation(const Box& primary_mbb,
 /// True when `primary_mbb` properly crosses one of the four mbb lines of
 /// `reference_mbb` (strictly overlaps both sides). For non-degenerate boxes
 /// this is the exact complement of MbbPrefilterRelation succeeding; the
-/// planner uses line queries against an R-tree to enumerate such pairs.
+/// sweep join counts such pairs as `engine.pairs.crossing`.
 bool MbbProperlyCrossesReferenceLines(const Box& primary_mbb,
                                       const Box& reference_mbb);
 

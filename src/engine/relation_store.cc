@@ -15,10 +15,10 @@ CardinalRelation RelationStore::Relation(size_t primary,
         return CardinalRelation::FromMask(
             row.masks[static_cast<size_t>(pos - row.cols.begin())]);
       }
-      return (*relations_)[ClassPairCode(primary, reference)];
+      return (*relations_)[ClassPairCode(profile_, primary, reference)];
     }
   }
-  const uint8_t code = ClassPairCode(primary, reference);
+  const uint8_t code = ClassPairCode(profile_, primary, reference);
   const std::vector<RowPatch>* patches = FindPatches(primary);
   if (patches != nullptr) {
     auto pos = std::lower_bound(
@@ -42,7 +42,7 @@ CardinalRelation RelationStore::Relation(size_t primary,
   if (patches == nullptr) {
     for (size_t j = 0; j < reference; ++j) {
       if (j == primary) continue;
-      if (!ResolvableCode(ClassPairCode(primary, j))) ++rank;
+      if (!ResolvableCode(ClassPairCode(profile_, primary, j))) ++rank;
     }
     return CardinalRelation::FromMask(overlay_masks_[rank]);
   }
@@ -57,7 +57,7 @@ CardinalRelation RelationStore::Relation(size_t primary,
     if (pi < pn && (*patches)[pi].col == j) {
       if ((*patches)[pi].consumes_base != 0) ++rank;
       ++pi;
-    } else if (!ResolvableCode(ClassPairCode(primary, j))) {
+    } else if (!ResolvableCode(ClassPairCode(profile_, primary, j))) {
       ++rank;
     }
   }
@@ -252,7 +252,7 @@ void RelationStore::MaybeCompactRow(size_t row) {
   LooseRow loose;
   ForEachInRow(row, [this, row, &loose](size_t j,
                                         const CardinalRelation& relation) {
-    if (!ResolvableCode(ClassPairCode(row, j))) {
+    if (!ResolvableCode(ClassPairCode(profile_, row, j))) {
       loose.cols.push_back(static_cast<uint32_t>(j));
       loose.masks.push_back(relation.mask());
     }

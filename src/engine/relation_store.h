@@ -1,16 +1,16 @@
 // RelationStore: the sweep engine's sub-quadratic all-pairs result type.
 //
-// The dense PairMatrix stores 2 bytes for every one of the n·(n−1) ordered
+// A dense matrix would store 2 bytes for every one of the n·(n−1) ordered
 // pairs — 50 MB at n = 5000 — even though on map-like workloads the vast
 // majority of relations are *implicit*: determined entirely by the two
 // boxes' per-axis interval classes (engine/interval_kernel.h). The store
 // therefore keeps only
 //
 //   * the SoA box profile of the run's regions (4 doubles + 1 byte each),
-//     from which any implicit pair's relation is recomputed in O(1) — two
-//     scalar interval classifications and one 16-entry table lookup, the
-//     exact kernel the engine's classify phase uses, so the recomputed
-//     relation is bit-identical to what the dense engine would have stored;
+//     from which any implicit pair's relation is recomputed in O(1) — one
+//     ClassPairCode and one 16-entry table lookup, the same function the
+//     sweep's candidate filter runs, so the recomputed relation is
+//     bit-identical to the serial Compute-CDR loop's;
 //   * an *explicit-pair overlay*: the packed relation masks of exactly the
 //     pairs that are not box-resolvable (either axis class kCross, or a
 //     degenerate/empty box), laid out row-major with ascending reference
@@ -60,7 +60,6 @@
 #include <vector>
 
 #include "core/cardinal_relation.h"
-#include "engine/batch_engine.h"
 #include "engine/interval_kernel.h"
 #include "geometry/region.h"
 #include "obs/memstats.h"
@@ -68,10 +67,25 @@
 
 namespace cardir {
 
-/// Mixes one relation-matrix entry into a 64-bit value. Pair digests are
-/// *summed*, so a total over any enumeration order is comparable: the batch
-/// engine's digest mode and RelationStore::Digest use this same mix, and
-/// two equal digests mean bit-identical matrices (modulo hash collisions).
+/// Tuning knobs for the sweep join.
+struct EngineOptions {
+  /// Total threads, including the calling thread. 0 = all hardware threads.
+  int threads = 1;
+};
+
+/// Instrumentation of one sweep-join run.
+struct EngineStats {
+  size_t total_pairs = 0;        ///< n·(n−1) ordered pairs.
+  size_t prefiltered_pairs = 0;  ///< Resolved implicitly from the boxes.
+  size_t computed_pairs = 0;     ///< Explicit: stored in the overlay.
+  size_t crossing_pairs = 0;     ///< Explicit pairs whose mbbs cross lines.
+  int threads_used = 1;
+};
+
+/// Mixes one relation entry into a 64-bit value. Pair digests are *summed*,
+/// so a total over any enumeration order is comparable: RelationStore::
+/// Digest and the tests' serial oracle use this same mix, and two equal
+/// digests mean bit-identical relation sets (modulo hash collisions).
 inline uint64_t MixPairDigest(size_t primary, size_t reference,
                               uint16_t mask) {
   uint64_t z = (static_cast<uint64_t>(primary) << 40) ^
@@ -86,10 +100,10 @@ class RelationStore;
 /// Computes the all-pairs relation store of `regions` with the plane-sweep
 /// spatial join (engine/sweep_join.cc): only pairs whose boxes interact on
 /// an axis are ever examined, every other pair is resolved implicitly from
-/// its interval classes. The result is bit-identical to ComputeAllPairs for
-/// every thread count (the oracle tests hold the two against each other).
-/// `options.use_prefilter` is ignored — implicit resolution *is* the
-/// prefilter; `options.chunk_size` is the sweep strip height in rows.
+/// its interval classes. The result is bit-identical to the serial
+/// Compute-CDR loop for every thread count (the oracle tests hold the two
+/// against each other). Fails with kInvalidArgument when a region fails
+/// Region::Validate().
 Result<RelationStore> ComputeRelationStore(
     const std::vector<const Region*>& regions,
     const EngineOptions& options = {}, EngineStats* stats = nullptr);
@@ -167,7 +181,7 @@ class RelationStore {
   /// True when either axis class of (primary, reference) is kCross or a box
   /// is degenerate — i.e. the pair's mask lives in the overlay.
   bool IsExplicit(size_t primary, size_t reference) const {
-    return !ResolvableCode(ClassPairCode(primary, reference));
+    return !ResolvableCode(ClassPairCode(profile_, primary, reference));
   }
 
   /// The stored relation `primary R reference`. Precondition: both indices
@@ -179,7 +193,8 @@ class RelationStore {
   CardinalRelation Relation(size_t primary, size_t reference) const;
 
   /// Invokes `fn(reference, relation)` for every reference ≠ primary in
-  /// ascending reference order — the canonical row order of PairMatrix.
+  /// ascending reference order — the canonical row order of the serial
+  /// loop.
   template <typename Fn>
   void ForEachInRow(size_t primary, Fn&& fn) const {
     const size_t n = profile_.size();
@@ -195,7 +210,7 @@ class RelationStore {
           if (k < row.cols.size() && row.cols[k] == j) {
             fn(j, CardinalRelation::FromMask(row.masks[k++]));
           } else {
-            fn(j, (*relations_)[ClassPairCode(primary, j)]);
+            fn(j, (*relations_)[ClassPairCode(profile_, primary, j)]);
           }
         }
         return;
@@ -207,7 +222,7 @@ class RelationStore {
     if (patches == nullptr) {
       for (size_t j = 0; j < n; ++j) {
         if (j == primary) continue;
-        const uint8_t code = ClassPairCode(primary, j);
+        const uint8_t code = ClassPairCode(profile_, primary, j);
         if (ResolvableCode(code)) {
           fn(j, (*relations_)[code]);
         } else {
@@ -237,10 +252,10 @@ class RelationStore {
         if (patch.is_explicit != 0) {
           fn(j, CardinalRelation::FromMask(patch.mask));
         } else {
-          fn(j, (*relations_)[ClassPairCode(primary, j)]);
+          fn(j, (*relations_)[ClassPairCode(profile_, primary, j)]);
         }
       } else {
-        const uint8_t code = ClassPairCode(primary, j);
+        const uint8_t code = ClassPairCode(profile_, primary, j);
         if (ResolvableCode(code)) {
           fn(j, (*relations_)[code]);
         } else {
@@ -251,7 +266,7 @@ class RelationStore {
   }
 
   /// Invokes `fn(primary, reference, relation)` over all ordered pairs in
-  /// canonical row-major order (PairMatrix's iteration order).
+  /// canonical row-major order (the serial loop's iteration order).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     const size_t n = profile_.size();
@@ -263,8 +278,8 @@ class RelationStore {
     }
   }
 
-  /// Order-independent digest over all pairs; equals the batch engine's
-  /// ComputeAllPairsDigest on the same regions.
+  /// Order-independent digest over all pairs: the MixPairDigest sum, equal
+  /// to the same sum over the serial Compute-CDR loop on the same regions.
   uint64_t Digest() const;
 
   /// True iff neither 2-bit axis class of `code` is kCross (== 3).
@@ -376,23 +391,6 @@ class RelationStore {
       }
     }
   };
-
-  // The class-pair code of (i, j) — (x class << 2) | y class with the
-  // degenerate-box override OR-ed in — computed from the boxes exactly as
-  // the engine's classify phase computes it (ValidateClassKernelOnce proves
-  // scalar and batched agree), so implicit relations are bit-identical to
-  // the dense engine's.
-  uint8_t ClassPairCode(size_t i, size_t j) const {
-    const uint8_t cx = static_cast<uint8_t>(ClassifyIntervalClass(
-        profile_.min_x[i], profile_.max_x[i], profile_.min_x[j],
-        profile_.max_x[j]));
-    const uint8_t cy = static_cast<uint8_t>(ClassifyIntervalClass(
-        profile_.min_y[i], profile_.max_y[i], profile_.min_y[j],
-        profile_.max_y[j]));
-    return static_cast<uint8_t>(static_cast<uint8_t>(cx << 2 | cy) |
-                                profile_.cross_override[i] |
-                                profile_.cross_override[j]);
-  }
 
   RegionProfile profile_;
   std::vector<uint64_t> row_offsets_;    // regions() + 1 entries.

@@ -32,15 +32,18 @@
 //     test can change the answer: the B-tile swallow needs the reference
 //     box inside the primary's mbb band on *both* axes, i.e. both axes
 //     kCross. Audit builds recheck every pair against the full algorithm.
-//   * both axes kCross, or a degenerate box — full Compute-CDR, exactly
-//     the dense engine's crossing-queue path.
+//   * both axes kCross, or a degenerate box — full Compute-CDR on the
+//     primary's geometry against the reference's profiled box.
 //
 // Construction is two passes over the rows (count, then emit into
 // exact-size storage at per-row offsets), so peak memory is the final
 // store plus the sweep indexes — there is never a grow-and-merge copy of
 // the overlay. Both passes run as parallel row strips on the work-stealing
 // pool; emit writes are disjoint by construction, so the overlay is
-// bit-identical for every thread count.
+// bit-identical for every thread count. Each strip carries one profiler
+// frame for its pass's dominant work — `prefilter.classify` under a count
+// strip, `cdr.compute` under an emit strip — so a sampled profile splits
+// the sweep into classification and resolution without per-pair frames.
 
 #include <algorithm>
 #include <atomic>
@@ -93,7 +96,7 @@ Result<RelationStore> ComputeRelationStore(
   CARDIR_TRACE_SPAN("engine.run");
   const uint64_t run_start_us = obs::TraceNowMicros();
 
-  // Validate every region once up front (same contract as ComputeAllPairs).
+  // Validate every region once up front; an invalid region fails the run.
   CARDIR_RECORD_EVENT(kPhase, "engine.validate", 0, n);
   std::vector<Box> boxes(n);
   {
@@ -147,29 +150,15 @@ Result<RelationStore> ComputeRelationStore(
     poly.Build(regions);
   }
 
-  // The raw class-pair code of (i, j) — identical arithmetic to
-  // RelationStore::ClassPairCode, so the emit-side explicit set is exactly
-  // the set the store's cursor iteration reconstructs.
-  const auto pair_code = [&profile](size_t i, size_t j) {
-    const uint8_t cx = static_cast<uint8_t>(ClassifyIntervalClass(
-        profile.min_x[i], profile.max_x[i], profile.min_x[j],
-        profile.max_x[j]));
-    const uint8_t cy = static_cast<uint8_t>(ClassifyIntervalClass(
-        profile.min_y[i], profile.max_y[i], profile.min_y[j],
-        profile.max_y[j]));
-    return static_cast<uint8_t>(static_cast<uint8_t>(cx << 2 | cy) |
-                                profile.cross_override[i] |
-                                profile.cross_override[j]);
-  };
-
   // Invokes `fn(j)` for every candidate reference of row i — the
   // strict-overlap union plus the degenerate ids — in ascending id order.
   // Every explicit pair of the row is visited (see the bound in the file
-  // comment); resolvable candidates are filtered by `pair_code` at the use
-  // site. The two axis queries mark bits in the participant's row bitset
-  // (which both deduplicates their intersection and sorts by construction —
-  // a per-row std::sort of the candidate list was the single hottest part
-  // of an earlier version); iteration then drains and re-zeroes the words.
+  // comment); resolvable candidates are filtered by ClassPairCode at the
+  // use site. The two axis queries mark bits in the participant's row
+  // bitset (which both deduplicates their intersection and sorts by
+  // construction — a per-row std::sort of the candidate list was the single
+  // hottest part of an earlier version); iteration then drains and
+  // re-zeroes the words.
   const auto for_each_candidate = [&](size_t i, SweepScratch& ws, auto&& fn) {
     if (profile.cross_override[i] != 0) {
       // Degenerate primary: nothing in the row is box-resolvable.
@@ -204,9 +193,9 @@ Result<RelationStore> ComputeRelationStore(
     CARDIR_TRACE_SPAN("sweep.count");
     CARDIR_RECORD_EVENT(kPhase, "sweep.count", 2, n);
     pool.ParallelFor(
-        n, options.chunk_size,
-        [&](size_t begin, size_t end, size_t participant) {
+        n, 0, [&](size_t begin, size_t end, size_t participant) {
           CARDIR_PROFILE_FRAME("sweep.strip");
+          CARDIR_PROFILE_FRAME("prefilter.classify");
           CARDIR_RECORD_EVENT(kSweep, "strip", begin, end - begin);
           SweepScratch& ws = scratch[participant];
           size_t candidates = 0, crossing = 0;
@@ -214,9 +203,9 @@ Result<RelationStore> ComputeRelationStore(
             uint64_t count = 0;
             for_each_candidate(i, ws, [&](uint32_t j) {
               ++candidates;
-              if (RelationStore::ResolvableCode(pair_code(i, j))) return;
+              const uint8_t code = ClassPairCode(profile, i, j);
+              if (RelationStore::ResolvableCode(code)) return;
               ++count;
-              // Same crossing accounting as the dense engine's deferral.
               if (MbbProperlyCrossesReferenceLines(boxes[i], boxes[j])) {
                 ++crossing;
               }
@@ -246,9 +235,9 @@ Result<RelationStore> ComputeRelationStore(
     CARDIR_RECORD_EVENT(kPhase, "sweep.emit", 3, overlay_total);
     uint16_t* overlay = store.overlay_masks_.data();
     pool.ParallelFor(
-        n, options.chunk_size,
-        [&](size_t begin, size_t end, size_t participant) {
+        n, 0, [&](size_t begin, size_t end, size_t participant) {
           CARDIR_PROFILE_FRAME("sweep.strip");
+          CARDIR_PROFILE_FRAME("cdr.compute");
           CARDIR_RECORD_EVENT(kSweep, "strip", begin, end - begin);
           SweepScratch& ws = scratch[participant];
           CdrMetricsDelta cdr_metrics;  // Flushed once per strip.
@@ -256,7 +245,7 @@ Result<RelationStore> ComputeRelationStore(
           for (size_t i = begin; i < end; ++i) {
             uint64_t cursor = store.row_offsets_[i];
             for_each_candidate(i, ws, [&](uint32_t j) {
-              const uint8_t code = pair_code(i, j);
+              const uint8_t code = ClassPairCode(profile, i, j);
               if (RelationStore::ResolvableCode(code)) return;
               // One-axis-cross shortcut / full Compute-CDR, shared with the
               // delta engine (see interval_index.h for the exactness
@@ -273,11 +262,11 @@ Result<RelationStore> ComputeRelationStore(
         });
   }
 
-  // Sweep-scratch telemetry (the worker_scratch pattern): the row bitsets
-  // plus the two overlap indexes reach their maximum extent by the end of
-  // the run and die with this scope — charge and release so the
-  // mem.sweep_scratch peak records the run's high-water while live returns
-  // to zero. CdrScratch lanes are charged by mem.edge_soa continuously.
+  // Sweep-scratch telemetry: the row bitsets plus the two overlap indexes
+  // reach their maximum extent by the end of the run and die with this
+  // scope — charge and release so the mem.sweep_scratch peak records the
+  // run's high-water while live returns to zero. CdrScratch lanes are
+  // charged by mem.edge_soa continuously.
   {
     size_t scratch_bytes = x_index.bytes() + y_index.bytes();
     for (const SweepScratch& ws : scratch) {

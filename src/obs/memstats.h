@@ -1,6 +1,7 @@
 // Memory telemetry: live/peak byte gauges for the structures that own
-// real memory (PairMatrix, EdgeSoA lanes, worker scratch, the R-tree, XML
-// buffers), plus a process-wide high-water total and Linux RSS sampling.
+// real memory (the relation store, EdgeSoA lanes, sweep scratch, the delta
+// engine, the R-tree, XML buffers), plus a process-wide high-water total
+// and Linux RSS sampling.
 //
 // Each instrumented owner charges a named arena. An arena is backed by two
 // registry gauges —

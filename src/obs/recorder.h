@@ -40,7 +40,7 @@ enum class RecordKind : uint16_t {
   kMark = 0,   // Free-form marker (label carries the text).
   kPhase = 1,  // Engine phase transition; a = phase ordinal.
   kChunk = 2,  // Chunk begin/end; a = first index, b = count.
-  kDefer = 3,  // Pairs deferred to the crossing queue; a = first, b = count.
+  kDefer = 3,  // Pairs deferred to a later phase; a = first, b = count.
   kLog = 4,    // Tail of a CARDIR_LOG line (truncated to the label field).
   kSweep = 5,  // Sweep-join strip; a = first row, b = row count.
   kDelta = 6,  // Delta-engine apply; a = region id, b = touched pairs.

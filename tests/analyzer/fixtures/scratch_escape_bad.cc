@@ -3,7 +3,7 @@
 namespace cardir {
 
 void Bad(ThreadPool& pool, TaskQueue& tasks) {
-  WorkerScratch scratch;
+  SweepScratch scratch;
   // BAD: explicit by-reference capture into an async submission.
   pool.Submit([&scratch] { Fill(scratch); });
 

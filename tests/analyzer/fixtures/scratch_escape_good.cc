@@ -5,13 +5,13 @@ void Good(ThreadPool& pool) {
   // Per-participant scratch captured by reference into ParallelFor is the
   // engine's canonical pattern: ParallelFor is synchronous (joins before
   // returning), so the capture cannot dangle.
-  std::vector<WorkerScratch> scratch;
+  std::vector<SweepScratch> scratch;
   pool.ParallelFor(100, 0, [&scratch](size_t begin, size_t end, size_t w) {
     FillRange(scratch[w], begin, end);
   });
 
   // By-value capture is safe everywhere, even into escaping APIs.
-  WorkerScratch seed;
+  SweepScratch seed;
   pool.Submit([seed] { ReadOnly(seed); });
 }
 

@@ -11,8 +11,9 @@
 #include "audit/invariants.h"
 #include "core/compute_cdr.h"
 #include "core/compute_cdr_percent.h"
-#include "engine/batch_engine.h"
 #include "engine/prefilter.h"
+#include "engine/relation_store.h"
+#include "engine/serial_oracle.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "properties/random_instances.h"
@@ -76,10 +77,11 @@ TEST(InvariantsAuditTest, BoxResolvedPairsAgreeWithComputeCdr) {
 }
 
 TEST(InvariantsAuditTest, EngineRunTripsNoAuditSeam) {
-  // A full engine run (parallel, small chunks) across every seam — the
-  // pool's exact-cover audit, the per-pair prefilter audits, the sink
-  // coverage audit — must stay silent. In plain builds the seams are
-  // compiled out and the count is trivially zero.
+  // A full sweep-join run (parallel, 1-row strips: 20 rows over 4
+  // participants) across every seam — the pool's exact-cover audit, the
+  // overlay emit audit, the per-pair prefilter audits — must stay silent.
+  // In plain builds the seams are compiled out and the count is trivially
+  // zero.
   ResetAuditFailureCount();
   Rng rng(0xE7617E);
   std::vector<Region> regions;
@@ -87,13 +89,13 @@ TEST(InvariantsAuditTest, EngineRunTripsNoAuditSeam) {
 
   EngineOptions options;
   options.threads = 4;
-  options.chunk_size = 1;
   EngineStats stats;
-  const auto pairs = ComputeAllPairs(regions, options, &stats);
-  ASSERT_TRUE(pairs.ok()) << pairs.status();
-  EXPECT_EQ(pairs->size(), regions.size() * (regions.size() - 1));
+  const auto store = ComputeRelationStore(regions, options, &stats);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ(store->pair_count(), regions.size() * (regions.size() - 1));
   EXPECT_EQ(stats.prefiltered_pairs + stats.computed_pairs,
             stats.total_pairs);
+  EXPECT_EQ(store->Digest(), SerialDigest(regions));
   EXPECT_EQ(AuditFailureCount(), 0u);
 }
 

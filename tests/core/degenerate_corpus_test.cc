@@ -4,8 +4,8 @@
 // lines, duplicate consecutive vertices, unit-thin slivers, shared
 // corners — plus degenerate (zero-width / zero-height / point) reference
 // bands fed to the unchecked entry points. Every combination is checked
-// three ways: the serial qualitative path vs the batch engine
-// (bit-identical masks across thread counts and prefilter settings), the
+// three ways: the serial qualitative path vs the sweep-built relation
+// store (bit-identical masks across thread counts), the
 // SoA percent path vs the scalar reference path, and the §3.2 refinement
 // guarantee that tiles holding positive area are tiles of the qualitative
 // relation (qual ⊇ quant).
@@ -17,7 +17,8 @@
 #include "core/compute_cdr.h"
 #include "core/compute_cdr_percent.h"
 #include "core/tile.h"
-#include "engine/batch_engine.h"
+#include "engine/relation_store.h"
+#include "engine/serial_oracle.h"
 #include "geometry/box.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
@@ -114,34 +115,23 @@ TEST(DegenerateCorpusTest, EngineMatchesSerialOnTouchingGeometry) {
     ASSERT_TRUE(region.Validate().ok()) << "corpus region is invalid";
   }
 
-  // Serial qualitative loop.
-  std::vector<uint16_t> serial;
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    for (size_t j = 0; j < corpus.size(); ++j) {
-      if (i == j) continue;
-      auto relation = ComputeCdr(corpus[i], corpus[j]);
-      ASSERT_TRUE(relation.ok()) << relation.status();
-      serial.push_back(relation->mask());
-    }
-  }
-
+  const std::vector<uint16_t> serial = SerialMasks(corpus);
   for (int threads : {1, 2, 8}) {
-    for (bool prefilter : {true, false}) {
-      EngineOptions options;
-      options.threads = threads;
-      options.use_prefilter = prefilter;
-      EngineStats stats;
-      auto pairs = ComputeAllPairs(corpus, options, &stats);
-      ASSERT_TRUE(pairs.ok()) << pairs.status();
-      ASSERT_EQ(pairs->size(), serial.size());
-      EXPECT_EQ(stats.prefiltered_pairs + stats.computed_pairs,
-                stats.total_pairs);
-      for (size_t k = 0; k < serial.size(); ++k) {
-        EXPECT_EQ((*pairs)[k].relation.mask(), serial[k])
-            << "pair slot " << k << ", " << threads
-            << " threads, prefilter=" << prefilter;
-      }
-    }
+    EngineOptions options;
+    options.threads = threads;
+    EngineStats stats;
+    auto store = ComputeRelationStore(corpus, options, &stats);
+    ASSERT_TRUE(store.ok()) << store.status();
+    ASSERT_EQ(store->pair_count(), serial.size());
+    EXPECT_EQ(stats.prefiltered_pairs + stats.computed_pairs,
+              stats.total_pairs);
+    size_t k = 0;
+    store->ForEach([&](size_t i, size_t j, const CardinalRelation& relation) {
+      EXPECT_EQ(relation.mask(), serial[k])
+          << "pair (" << i << ", " << j << "), " << threads << " threads";
+      ++k;
+    });
+    EXPECT_EQ(k, serial.size());
   }
 }
 

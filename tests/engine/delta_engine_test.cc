@@ -1,11 +1,11 @@
 // DeltaEngine correctness contract: after ANY mutation sequence, the
-// maintained store's Digest() is bit-identical to a fresh batch compute
-// over the same geometries. The oracle below drives 500+ randomized
+// maintained store's Digest() is bit-identical to the serial Compute-CDR
+// loop over the same geometries. The oracle below drives 500+ randomized
 // mutation scripts (mixed insert/move/delete over map-like, overlap-heavy
-// and free-form generators) and holds the delta store against
-// ComputeAllPairsDigest after every single mutation — so a dirty-set gap,
-// a stale patch, or a mis-ranked overlay cursor fails on the exact script
-// step that introduced it (seeds are in the trace).
+// and free-form generators) and holds the delta store against SerialDigest
+// (engine/serial_oracle.h) after every single mutation — so a dirty-set
+// gap, a stale patch, or a mis-ranked overlay cursor fails on the exact
+// script step that introduced it (seeds are in the trace).
 
 #include <algorithm>
 #include <cmath>
@@ -14,9 +14,9 @@
 #include <utility>
 #include <vector>
 
-#include "engine/batch_engine.h"
 #include "engine/delta_engine.h"
 #include "engine/relation_store.h"
+#include "engine/serial_oracle.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "obs/memstats.h"
@@ -86,12 +86,6 @@ Region RandomMutationRegion(Rng* rng) {
   }
 }
 
-uint64_t FreshDigest(const std::vector<Region>& regions) {
-  const auto digest = ComputeAllPairsDigest(regions);
-  EXPECT_TRUE(digest.ok()) << digest.status();
-  return digest.ok() ? *digest : 0;
-}
-
 // The headline oracle: 500 scripts, digest checked after every mutation.
 TEST(DeltaEngineProperty, MutationScriptsMatchFreshComputeOn500Scripts) {
   for (uint64_t seed = 0; seed < 500; ++seed) {
@@ -113,7 +107,7 @@ TEST(DeltaEngineProperty, MutationScriptsMatchFreshComputeOn500Scripts) {
 
     auto engine = DeltaEngine::Build(mirror);
     ASSERT_TRUE(engine.ok()) << engine.status();
-    ASSERT_EQ(engine.value().Digest(), FreshDigest(mirror));
+    ASSERT_EQ(engine.value().Digest(), SerialDigest(mirror));
 
     const int mutations = 3 + static_cast<int>(rng.NextBelow(6));
     for (int m = 0; m < mutations; ++m) {
@@ -147,7 +141,7 @@ TEST(DeltaEngineProperty, MutationScriptsMatchFreshComputeOn500Scripts) {
       }
       ASSERT_TRUE(applied.ok()) << applied.status();
       ASSERT_EQ(engine.value().regions(), mirror.size());
-      ASSERT_EQ(engine.value().Digest(), FreshDigest(mirror));
+      ASSERT_EQ(engine.value().Digest(), SerialDigest(mirror));
       // Touched lists both directions of every dirty pair, and the two
       // counters partition exactly that set.
       EXPECT_EQ(applied.value().touched.size() % 2, 0u);
@@ -249,7 +243,7 @@ TEST(DeltaEngineTest, AdoptedStoreNeedsNoRecompute) {
   Region moved = RandomMutationRegion(&rng);
   regions[7] = moved;
   ASSERT_TRUE(engine.Move(7, std::move(moved)).ok());
-  EXPECT_EQ(engine.Digest(), FreshDigest(regions));
+  EXPECT_EQ(engine.Digest(), SerialDigest(regions));
 }
 
 TEST(DeltaEngineTest, ErrorsLeaveEngineUntouched) {
@@ -285,13 +279,13 @@ TEST(DeltaEngineTest, GrowFromEmptyEngine) {
     mirror.push_back(region);
     const auto applied = engine.value().Insert(std::move(region));
     ASSERT_TRUE(applied.ok()) << applied.status();
-    ASSERT_EQ(engine.value().Digest(), FreshDigest(mirror));
+    ASSERT_EQ(engine.value().Digest(), SerialDigest(mirror));
   }
   while (!mirror.empty()) {
     const size_t id = rng.NextBelow(mirror.size());
     mirror.erase(mirror.begin() + static_cast<ptrdiff_t>(id));
     ASSERT_TRUE(engine.value().Remove(id).ok());
-    ASSERT_EQ(engine.value().Digest(), FreshDigest(mirror));
+    ASSERT_EQ(engine.value().Digest(), SerialDigest(mirror));
   }
   EXPECT_EQ(engine.value().regions(), 0u);
 }

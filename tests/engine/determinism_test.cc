@@ -1,14 +1,16 @@
-// Determinism of the batch relation engine: the *stored artefact* — the
-// XML serialization of a configuration, relations included — must be
+// Determinism of the sweep join: the *stored artefact* — the XML
+// serialization of a configuration, relations included — must be
 // byte-identical no matter how many threads computed it or how the
 // scheduler interleaved them. Ten runs across a spread of thread counts
-// must all serialize to the same document as the single-threaded run.
+// must all serialize to the same document as the single-threaded run, and
+// every run's relations must digest equal to the serial Compute-CDR loop.
 
 #include <string>
 #include <vector>
 
 #include "cardirect/model.h"
 #include "cardirect/xml.h"
+#include "engine/serial_oracle.h"
 #include "gtest/gtest.h"
 #include "properties/random_instances.h"
 #include "util/random.h"
@@ -30,6 +32,12 @@ TEST(EngineDeterminismTest, XmlIdenticalAcrossThreadCountsAndRuns) {
     ASSERT_TRUE(config.AddRegion(std::move(region)).ok());
   }
 
+  std::vector<Region> geometries;
+  for (int i = 0; i < 24; ++i) {
+    geometries.push_back(config.FindRegion(StrFormat("r%d", i))->geometry);
+  }
+  const uint64_t serial_digest = SerialDigest(geometries);
+
   EngineOptions serial;
   serial.threads = 1;
   ASSERT_TRUE(config.ComputeAllRelations(serial).ok());
@@ -41,11 +49,11 @@ TEST(EngineDeterminismTest, XmlIdenticalAcrossThreadCountsAndRuns) {
   for (int threads : thread_counts) {
     EngineOptions options;
     options.threads = threads;
-    // Vary the chunk size too, to shake out merge-order dependencies on
-    // the work-stealing schedule.
-    options.chunk_size = static_cast<size_t>(1 + (run % 5));
     ASSERT_TRUE(config.ComputeAllRelations(options).ok());
     EXPECT_EQ(ConfigurationToXml(config), golden)
+        << "run " << run << " with " << threads << " threads";
+    ASSERT_NE(config.relation_store(), nullptr);
+    EXPECT_EQ(config.relation_store()->Digest(), serial_digest)
         << "run " << run << " with " << threads << " threads";
     ++run;
   }

@@ -1,15 +1,15 @@
-// Differential oracle for the batch relation engine: on randomized REG*
-// configurations, the engine's full relation matrix must be bit-identical
-// to (a) the serial Compute-CDR loop it replaced and (b) the independent
-// clipping-based baseline — for 1, 2, and 8 threads, with and without the
-// MBB prefilter.
+// Differential oracle for the sweep join: on randomized REG*
+// configurations, the sweep-built RelationStore must be bit-identical to
+// (a) the serial Compute-CDR loop and (b) the independent clipping-based
+// baseline — for 1, 2, and 8 threads, through both pair enumeration and the
+// digest.
 
+#include <optional>
 #include <vector>
 
 #include "clipping/baseline_cdr.h"
-#include "core/compute_cdr.h"
-#include "engine/batch_engine.h"
 #include "engine/relation_store.h"
+#include "engine/serial_oracle.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "properties/random_instances.h"
@@ -18,38 +18,22 @@
 namespace cardir {
 namespace {
 
-// The serial all-pairs loop exactly as Configuration::ComputeAllRelations
-// ran it before the engine existed.
-std::vector<CardinalRelation> SerialMatrix(const std::vector<Region>& regions) {
-  std::vector<CardinalRelation> matrix;
-  for (size_t i = 0; i < regions.size(); ++i) {
-    for (size_t j = 0; j < regions.size(); ++j) {
-      if (i == j) continue;
-      auto relation = ComputeCdr(regions[i], regions[j]);
-      EXPECT_TRUE(relation.ok()) << relation.status();
-      matrix.push_back(*relation);
-    }
-  }
-  return matrix;
-}
-
-std::vector<CardinalRelation> BaselineMatrix(
-    const std::vector<Region>& regions) {
-  std::vector<CardinalRelation> matrix;
+std::vector<uint16_t> BaselineMasks(const std::vector<Region>& regions) {
+  std::vector<uint16_t> masks;
   for (size_t i = 0; i < regions.size(); ++i) {
     for (size_t j = 0; j < regions.size(); ++j) {
       if (i == j) continue;
       auto relation = BaselineCdr(regions[i], regions[j]);
       EXPECT_TRUE(relation.ok()) << relation.status();
-      matrix.push_back(*relation);
+      masks.push_back(relation->mask());
     }
   }
-  return matrix;
+  return masks;
 }
 
 class EngineOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(EngineOracleTest, MatrixMatchesSerialLoopAndClippingBaseline) {
+TEST_P(EngineOracleTest, StoreMatchesSerialLoopAndClippingBaseline) {
   Rng rng(GetParam());
   const size_t num_regions = 12 + rng.NextBelow(14);
   std::vector<Region> regions;
@@ -58,57 +42,11 @@ TEST_P(EngineOracleTest, MatrixMatchesSerialLoopAndClippingBaseline) {
     regions.push_back(RandomTestRegion(&rng));
   }
 
-  const std::vector<CardinalRelation> serial = SerialMatrix(regions);
-  const std::vector<CardinalRelation> baseline = BaselineMatrix(regions);
+  const std::vector<uint16_t> serial = SerialMasks(regions);
   ASSERT_EQ(serial.size(), num_regions * (num_regions - 1));
-  ASSERT_EQ(serial, baseline)
+  ASSERT_EQ(serial, BaselineMasks(regions))
       << "the two serial oracles disagree; the fixture itself is broken";
-
-  for (int threads : {1, 2, 8}) {
-    for (bool prefilter : {true, false}) {
-      EngineOptions options;
-      options.threads = threads;
-      options.use_prefilter = prefilter;
-      EngineStats stats;
-      auto pairs = ComputeAllPairs(regions, options, &stats);
-      ASSERT_TRUE(pairs.ok()) << pairs.status();
-      ASSERT_EQ(pairs->size(), serial.size());
-      EXPECT_EQ(stats.total_pairs, serial.size());
-      EXPECT_EQ(stats.prefiltered_pairs + stats.computed_pairs,
-                stats.total_pairs);
-      if (!prefilter) EXPECT_EQ(stats.prefiltered_pairs, 0u);
-
-      size_t flat = 0;
-      for (size_t i = 0; i < num_regions; ++i) {
-        for (size_t j = 0; j < num_regions; ++j) {
-          if (i == j) continue;
-          const PairRelation& pair = (*pairs)[flat];
-          // Canonical (primary, reference) order, independent of threads.
-          ASSERT_EQ(pair.primary, i);
-          ASSERT_EQ(pair.reference, j);
-          // Bit-identical relation masks vs both oracles.
-          ASSERT_EQ(pair.relation.mask(), serial[flat].mask())
-              << "pair (" << i << ", " << j << "), " << threads
-              << " threads, prefilter=" << prefilter << ": engine "
-              << pair.relation.ToString() << " vs serial "
-              << serial[flat].ToString();
-          ++flat;
-        }
-      }
-    }
-  }
-}
-
-TEST_P(EngineOracleTest, RelationStoreMatchesSerialLoop) {
-  Rng rng(GetParam());
-  const size_t num_regions = 12 + rng.NextBelow(14);
-  std::vector<Region> regions;
-  regions.reserve(num_regions);
-  for (size_t i = 0; i < num_regions; ++i) {
-    regions.push_back(RandomTestRegion(&rng));
-  }
-
-  const std::vector<CardinalRelation> serial = SerialMatrix(regions);
+  const uint64_t serial_digest = SerialDigest(regions);
 
   for (int threads : {1, 2, 8}) {
     EngineOptions options;
@@ -117,25 +55,22 @@ TEST_P(EngineOracleTest, RelationStoreMatchesSerialLoop) {
     auto store = ComputeRelationStore(regions, options, &stats);
     ASSERT_TRUE(store.ok()) << store.status();
     ASSERT_EQ(store->pair_count(), serial.size());
+    EXPECT_EQ(stats.total_pairs, serial.size());
     EXPECT_EQ(stats.prefiltered_pairs + stats.computed_pairs,
               stats.total_pairs);
+    EXPECT_EQ(stats.threads_used, threads);
 
     size_t flat = 0;
     store->ForEach(
         [&](size_t i, size_t j, const CardinalRelation& relation) {
-          ASSERT_EQ(relation.mask(), serial[flat].mask())
+          ASSERT_EQ(relation.mask(), serial[flat])
               << "pair (" << i << ", " << j << "), " << threads
               << " threads: store " << relation.ToString() << " vs serial "
-              << serial[flat].ToString();
+              << CardinalRelation::FromMask(serial[flat]).ToString();
           ++flat;
         });
     ASSERT_EQ(flat, serial.size());
-
-    // The digest seam ties all three result types together: the store, the
-    // dense matrix, and the streaming digest must agree bit-for-bit.
-    auto digest = ComputeAllPairsDigest(regions, options);
-    ASSERT_TRUE(digest.ok()) << digest.status();
-    EXPECT_EQ(store->Digest(), *digest);
+    EXPECT_EQ(store->Digest(), serial_digest) << threads << " threads";
   }
 }
 
@@ -146,53 +81,27 @@ TEST_P(EngineOracleTest, DigestIsThreadCountInvariant) {
 
   std::optional<uint64_t> expected;
   for (int threads : {1, 2, 8}) {
-    for (bool prefilter : {true, false}) {
-      EngineOptions options;
-      options.threads = threads;
-      options.use_prefilter = prefilter;
-      auto digest = ComputeAllPairsDigest(regions, options);
-      ASSERT_TRUE(digest.ok()) << digest.status();
-      if (!expected.has_value()) {
-        expected = *digest;
-      } else {
-        EXPECT_EQ(*digest, *expected)
-            << threads << " threads, prefilter=" << prefilter;
-      }
+    EngineOptions options;
+    options.threads = threads;
+    auto store = ComputeRelationStore(regions, options);
+    ASSERT_TRUE(store.ok()) << store.status();
+    if (!expected.has_value()) {
+      expected = store->Digest();
+    } else {
+      EXPECT_EQ(store->Digest(), *expected) << threads << " threads";
     }
   }
+  EXPECT_EQ(*expected, SerialDigest(regions));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineOracleTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            34u));
 
-TEST(EngineEdgeCaseTest, EmptyAndSingletonInputs) {
-  std::vector<Region> none;
-  auto empty = ComputeAllPairs(none);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-
-  std::vector<Region> one;
-  one.push_back(Region(MakeRectangle(0, 0, 10, 10)));
-  auto single = ComputeAllPairs(one);
-  ASSERT_TRUE(single.ok());
-  EXPECT_TRUE(single->empty());
-}
-
-TEST(EngineEdgeCaseTest, InvalidRegionIsReported) {
-  std::vector<Region> regions;
-  regions.push_back(Region(MakeRectangle(0, 0, 10, 10)));
-  regions.push_back(Region());  // Empty region: fails Validate().
-  auto pairs = ComputeAllPairs(regions);
-  ASSERT_FALSE(pairs.ok());
-  EXPECT_EQ(pairs.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(pairs.status().message().find("#1"), std::string::npos);
-}
-
 TEST(EngineEdgeCaseTest, PrefilterStatsOnSeparatedGrid) {
   // A 4×4 grid of well-separated rectangles: every pair is tile-separated,
-  // so the planner should find no crossing pairs and the prefilter should
-  // resolve everything without a single Compute-CDR call.
+  // so the sweep should find no explicit pair and resolve everything
+  // without a single Compute-CDR call.
   std::vector<Region> regions;
   for (int y = 0; y < 4; ++y) {
     for (int x = 0; x < 4; ++x) {
@@ -201,12 +110,13 @@ TEST(EngineEdgeCaseTest, PrefilterStatsOnSeparatedGrid) {
     }
   }
   EngineStats stats;
-  auto pairs = ComputeAllPairs(regions, EngineOptions(), &stats);
-  ASSERT_TRUE(pairs.ok()) << pairs.status();
+  auto store = ComputeRelationStore(regions, EngineOptions(), &stats);
+  ASSERT_TRUE(store.ok()) << store.status();
   EXPECT_EQ(stats.total_pairs, 16u * 15u);
   EXPECT_EQ(stats.prefiltered_pairs, stats.total_pairs);
   EXPECT_EQ(stats.computed_pairs, 0u);
   EXPECT_EQ(stats.crossing_pairs, 0u);
+  EXPECT_EQ(store->Digest(), SerialDigest(regions));
 }
 
 }  // namespace

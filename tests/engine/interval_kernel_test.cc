@@ -1,11 +1,12 @@
-// Differential property tests of the batched interval-classification
-// kernel against its two oracles: the per-pair MBB prefilter
-// (engine/prefilter.h) and the full Compute-CDR on rectangle regions. The
-// layouts are adversarial by construction — every ordered pair over a
-// coordinate grid that includes touching boundaries, shared corners,
-// zero-width/zero-height boxes and identical boxes — because those are
-// exactly the cases where the branch-free arithmetic select could diverge
-// from the branchy scalar semantics.
+// Differential property tests of the interval-classification kernel
+// (ClassPairCode + the class-pair table, the code the relation store, the
+// sweep join and the delta engine run) against its two oracles: the
+// per-pair MBB prefilter (engine/prefilter.h) and the full Compute-CDR on
+// rectangle regions. The layouts are adversarial by construction — every
+// ordered pair over a coordinate grid that includes touching boundaries,
+// shared corners, zero-width/zero-height boxes and identical boxes —
+// because those are exactly the cases where inclusive band semantics and
+// the degenerate-box override could diverge from the oracle.
 
 #include "engine/interval_kernel.h"
 
@@ -14,14 +15,11 @@
 
 #include "core/compute_cdr.h"
 #include "core/tile.h"
-#include "engine/batch_engine.h"
 #include "engine/prefilter.h"
 #include "geometry/polygon.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
-#include "properties/random_instances.h"
 #include "reasoning/interval_algebra.h"
-#include "util/random.h"
 
 namespace cardir {
 namespace {
@@ -72,61 +70,32 @@ TEST(IntervalKernelTest, TableIsTileAtForResolvableCodesElseEmpty) {
   }
 }
 
-// Both kernel orientations must agree with MbbPrefilterRelation on every
-// ordered pair of adversarial boxes: same resolvable set, same relation.
-// For non-degenerate pairs the non-resolvable set must be exactly the
-// properly-crossing set (the planner's crossing statistic falls out of the
-// class codes).
+// ClassPairCode must agree with MbbPrefilterRelation on every ordered pair
+// of adversarial boxes, degenerate ones included: same resolvable set, same
+// relation. For non-degenerate pairs the non-resolvable set must be exactly
+// the properly-crossing set (the sweep's crossing statistic falls out of
+// the class codes).
 TEST(IntervalKernelTest, EveryOrderedPairMatchesPrefilterOracle) {
   const std::vector<Box> boxes = AdversarialBoxes();
   const RegionProfile profile = RegionProfile::FromBoxes(boxes);
   const auto& table = ClassPairRelationTable();
-  std::vector<uint8_t> by_reference(boxes.size());
-  std::vector<uint8_t> by_primary(boxes.size());
   for (size_t r = 0; r < boxes.size(); ++r) {
     const Box& reference = boxes[r];
-    const bool usable_reference =
-        !reference.IsEmpty() && !reference.IsDegenerate();
-    if (usable_reference) {
-      ClassifyAgainstReference(profile, reference, by_reference.data());
-    }
     for (size_t p = 0; p < boxes.size(); ++p) {
       const Box& primary = boxes[p];
       const std::optional<CardinalRelation> oracle =
           MbbPrefilterRelation(primary, reference);
-      if (usable_reference) {
-        const uint16_t mask = table[by_reference[p]];
-        ASSERT_EQ(oracle.has_value(), mask != 0)
-            << "reference-major, primary #" << p << " reference #" << r;
-        if (oracle.has_value()) {
-          ASSERT_EQ(oracle->mask(), mask)
-              << "reference-major, primary #" << p << " reference #" << r;
-        }
-        if (!primary.IsDegenerate() && !reference.IsDegenerate()) {
-          ASSERT_EQ(mask == 0,
-                    MbbProperlyCrossesReferenceLines(primary, reference))
-              << "crossing fallout, primary #" << p << " reference #" << r;
-        }
-      } else {
-        ASSERT_FALSE(oracle.has_value())
-            << "degenerate reference must not be box-resolvable, pair #"
-            << p << "/#" << r;
-      }
-    }
-  }
-  // Transposed orientation: identical codes for every usable primary.
-  for (size_t p = 0; p < boxes.size(); ++p) {
-    if (boxes[p].IsEmpty() || boxes[p].IsDegenerate()) continue;
-    ClassifyAgainstBands(profile, boxes[p], by_primary.data());
-    for (size_t r = 0; r < boxes.size(); ++r) {
-      const std::optional<CardinalRelation> oracle =
-          MbbPrefilterRelation(boxes[p], boxes[r]);
-      const uint16_t mask = table[by_primary[r]];
+      const uint16_t mask = table[ClassPairCode(profile, p, r)];
       ASSERT_EQ(oracle.has_value(), mask != 0)
-          << "row-major, primary #" << p << " reference #" << r;
+          << "primary #" << p << " reference #" << r;
       if (oracle.has_value()) {
         ASSERT_EQ(oracle->mask(), mask)
-            << "row-major, primary #" << p << " reference #" << r;
+            << "primary #" << p << " reference #" << r;
+      }
+      if (!primary.IsDegenerate() && !reference.IsDegenerate()) {
+        ASSERT_EQ(mask == 0,
+                  MbbProperlyCrossesReferenceLines(primary, reference))
+            << "crossing fallout, primary #" << p << " reference #" << r;
       }
     }
   }
@@ -139,17 +108,16 @@ TEST(IntervalKernelTest, ResolvedPairsMatchComputeCdrOnRectangles) {
   const std::vector<Box> boxes = AdversarialBoxes();
   const RegionProfile profile = RegionProfile::FromBoxes(boxes);
   const auto& relations = ClassPairRelations();
-  std::vector<uint8_t> codes(boxes.size());
   size_t resolved = 0;
   for (size_t p = 0; p < boxes.size(); ++p) {
     const Box& primary = boxes[p];
     if (primary.IsEmpty() || primary.IsDegenerate()) continue;
-    ClassifyAgainstBands(profile, primary, codes.data());
     const Region primary_region(
         MakeRectangle(primary.min_x(), primary.min_y(), primary.max_x(),
                       primary.max_y()));
     for (size_t r = 0; r < boxes.size(); ++r) {
-      const CardinalRelation relation = relations[codes[r]];
+      const CardinalRelation relation =
+          relations[ClassPairCode(profile, p, r)];
       if (relation.IsEmpty()) continue;
       const Box& reference = boxes[r];
       const Region reference_region(
@@ -163,27 +131,30 @@ TEST(IntervalKernelTest, ResolvedPairsMatchComputeCdrOnRectangles) {
       ++resolved;
     }
   }
-  // The sweep must actually exercise the resolvable side (identical boxes,
+  // The grid must actually exercise the resolvable side (identical boxes,
   // touching boxes and corner-sharing boxes are all in it).
   EXPECT_GT(resolved, 1000u);
 }
 
+// A degenerate box forces both axes to kCross whichever side of the pair
+// it is on.
 TEST(IntervalKernelTest, DegenerateBoxesAlwaysDefer) {
   const std::vector<Box> boxes = {Box(10, 10, 10, 18),   // Zero width.
                                   Box(10, 10, 18, 10),   // Zero height.
-                                  Box(12, 12, 12, 12)};  // A point.
+                                  Box(12, 12, 12, 12),   // A point.
+                                  Box(10, 10, 20, 20)};  // The reference.
   const RegionProfile profile = RegionProfile::FromBoxes(boxes);
   const auto& table = ClassPairRelationTable();
-  std::vector<uint8_t> codes(boxes.size());
-  ClassifyAgainstReference(profile, Box(10, 10, 20, 20), codes.data());
-  for (size_t i = 0; i < boxes.size(); ++i) {
-    EXPECT_EQ(codes[i], 0x0f) << "box #" << i;
-    EXPECT_EQ(table[codes[i]], 0u) << "box #" << i;
+  const size_t ref = boxes.size() - 1;
+  for (size_t i = 0; i < ref; ++i) {
+    EXPECT_EQ(ClassPairCode(profile, i, ref), 0x0f) << "box #" << i;
+    EXPECT_EQ(ClassPairCode(profile, ref, i), 0x0f) << "box #" << i;
+    EXPECT_EQ(table[ClassPairCode(profile, i, ref)], 0u) << "box #" << i;
   }
 }
 
-// The scalar classifier, the Allen coarsening, and the batched passes are
-// three routes to the same interval class on non-degenerate input.
+// The scalar classifier and the Allen coarsening are two routes to the same
+// interval class on non-degenerate input.
 TEST(IntervalKernelTest, AllenBridgeAgreesWithScalarClassifier) {
   const double coords[] = {0, 4, 8, 10, 14, 20, 22, 26};
   const double m1 = 8, m2 = 20;
@@ -214,40 +185,6 @@ TEST(IntervalKernelTest, AllenBlocksCoarsenAsDocumented) {
         AllenRelation::kOverlappedBy}) {
     EXPECT_EQ(IntervalClassOfAllen(r), IntervalClass::kCross);
   }
-}
-
-// PairMatrix recomputes the (primary, reference) indices from the slot
-// index; the round trip must reproduce the canonical nested-loop order.
-TEST(IntervalKernelTest, PairMatrixIndexRoundTrip) {
-  Rng rng(0x1D7);
-  std::vector<Region> regions;
-  for (int i = 0; i < 9; ++i) regions.push_back(RandomTestRegion(&rng));
-  const auto pairs = ComputeAllPairs(regions);
-  ASSERT_TRUE(pairs.ok()) << pairs.status();
-  ASSERT_EQ(pairs->size(), regions.size() * (regions.size() - 1));
-  size_t k = 0;
-  for (size_t i = 0; i < regions.size(); ++i) {
-    for (size_t j = 0; j < regions.size(); ++j) {
-      if (i == j) continue;
-      const PairRelation record = (*pairs)[k];
-      EXPECT_EQ(record.primary, i) << "slot " << k;
-      EXPECT_EQ(record.reference, j) << "slot " << k;
-      const auto exact = ComputeCdr(regions[i], regions[j]);
-      ASSERT_TRUE(exact.ok()) << exact.status();
-      EXPECT_EQ(record.relation, *exact) << "slot " << k;
-      ++k;
-    }
-  }
-  // Iteration yields the same sequence as indexing.
-  size_t it_count = 0;
-  for (const PairRelation record : *pairs) {
-    const PairRelation indexed = (*pairs)[it_count];
-    EXPECT_EQ(record.primary, indexed.primary);
-    EXPECT_EQ(record.reference, indexed.reference);
-    EXPECT_EQ(record.relation, indexed.relation);
-    ++it_count;
-  }
-  EXPECT_EQ(it_count, pairs->size());
 }
 
 }  // namespace

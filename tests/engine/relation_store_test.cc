@@ -1,7 +1,7 @@
 // RelationStore / sweep-join tests: the store must round-trip exactly to
-// the dense PairMatrix — every pair, every instance class, every thread
-// count — and its footprint accounting must hold even on instances built
-// to defeat the implicit-run compression.
+// the serial Compute-CDR loop — every pair, every instance class, every
+// thread count — and its footprint accounting must hold even on instances
+// built to defeat the implicit-run compression.
 
 #include <algorithm>
 #include <cstdint>
@@ -9,9 +9,9 @@
 #include <utility>
 #include <vector>
 
-#include "engine/batch_engine.h"
 #include "engine/interval_kernel.h"
 #include "engine/relation_store.h"
+#include "engine/serial_oracle.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "obs/memstats.h"
@@ -61,20 +61,20 @@ std::vector<Region> SmallOverlapRegions(Rng* rng, int count) {
   return regions;
 }
 
-// Asserts that `store` agrees with the dense matrix pair-for-pair, via all
-// three read paths (ForEach cursor iteration, per-row iteration, and spot
-// Lookup), and that the accounting between implicit and overlay pairs is
-// consistent.
-void ExpectMatchesDense(const RelationStore& store, const PairMatrix& dense,
-                        size_t n) {
+// Asserts that `store` agrees with the serial loop's row-major masks
+// pair-for-pair, via all three read paths (ForEach cursor iteration,
+// per-row iteration, and spot Lookup), and that the accounting between
+// implicit and overlay pairs is consistent.
+void ExpectMatchesSerial(const RelationStore& store,
+                         const std::vector<uint16_t>& masks, size_t n) {
   ASSERT_EQ(store.regions(), n);
-  ASSERT_EQ(store.pair_count(), dense.size());
+  ASSERT_EQ(store.pair_count(), masks.size());
 
-  const uint16_t* masks = dense.masks();
   size_t flat = 0;
+  uint64_t digest = 0;
   size_t explicit_seen = 0;
   store.ForEach([&](size_t i, size_t j, const CardinalRelation& relation) {
-    // Canonical row-major order, same as the dense matrix.
+    // Canonical row-major order, same as the serial loop.
     const size_t expect_i = flat / (n - 1);
     const size_t rank = flat % (n - 1);
     const size_t expect_j = rank < expect_i ? rank : rank + 1;
@@ -83,19 +83,12 @@ void ExpectMatchesDense(const RelationStore& store, const PairMatrix& dense,
     ASSERT_EQ(relation.mask(), masks[flat])
         << "pair (" << i << ", " << j << ")";
     if (store.IsExplicit(i, j)) ++explicit_seen;
+    digest += MixPairDigest(i, j, masks[flat]);
     ++flat;
   });
-  ASSERT_EQ(flat, dense.size());
+  ASSERT_EQ(flat, masks.size());
   EXPECT_EQ(explicit_seen, store.overlay_pairs());
-
-  EXPECT_EQ(store.Digest(), [&] {
-    uint64_t digest = 0;
-    for (size_t k = 0; k < dense.size(); ++k) {
-      const PairRelation pair = dense[k];
-      digest += MixPairDigest(pair.primary, pair.reference, masks[k]);
-    }
-    return digest;
-  }());
+  EXPECT_EQ(store.Digest(), digest);
 
   // Random-access lookups against a handful of rows (Lookup is O(n) per
   // overlay pair, so exhaustive lookup would square the test).
@@ -109,7 +102,7 @@ void ExpectMatchesDense(const RelationStore& store, const PairMatrix& dense,
   }
 }
 
-TEST(RelationStoreProperty, RoundTripsToDenseMatrixOn1000RandomInstances) {
+TEST(RelationStoreProperty, RoundTripsToSerialLoopOn1000RandomInstances) {
   for (uint64_t seed = 0; seed < 1000; ++seed) {
     Rng rng(0x5EED0000u + seed);
     const int n = 3 + static_cast<int>(rng.NextBelow(18));
@@ -128,13 +121,12 @@ TEST(RelationStoreProperty, RoundTripsToDenseMatrixOn1000RandomInstances) {
         break;
     }
 
-    auto dense = ComputeAllPairs(regions);
-    ASSERT_TRUE(dense.ok()) << dense.status();
+    const std::vector<uint16_t> serial = SerialMasks(regions);
     EngineStats stats;
     auto store = ComputeRelationStore(regions, EngineOptions(), &stats);
     ASSERT_TRUE(store.ok()) << store.status() << " (seed " << seed << ")";
 
-    ExpectMatchesDense(*store, *dense, regions.size());
+    ExpectMatchesSerial(*store, serial, regions.size());
     EXPECT_EQ(stats.total_pairs, store->pair_count());
     EXPECT_EQ(stats.computed_pairs, store->overlay_pairs());
     EXPECT_EQ(stats.prefiltered_pairs + stats.computed_pairs,
@@ -164,15 +156,13 @@ TEST(RelationStoreProperty, AdversarialAlternatingClassInstance) {
     }
   }
 
-  auto dense = ComputeAllPairs(regions);
-  ASSERT_TRUE(dense.ok()) << dense.status();
   auto store = ComputeRelationStore(regions);
   ASSERT_TRUE(store.ok()) << store.status();
 
   // Compression is actually defeated: a large share of pairs is explicit.
   EXPECT_GE(store->overlay_pairs(), store->pair_count() / 4);
 
-  ExpectMatchesDense(*store, *dense, regions.size());
+  ExpectMatchesSerial(*store, SerialMasks(regions), regions.size());
 
   // Memory gate: footprint is exactly the accounted structures — 2 bytes
   // per overlay pair, the SoA profile, and one offset per row — so even
@@ -189,7 +179,7 @@ TEST(RelationStoreProperty, AdversarialAlternatingClassInstance) {
 }
 
 // On map workloads the overlay must be a small fraction of the dense
-// matrix — the ISSUE gate is ≤10% of dense PairMatrix bytes.
+// matrix — at most 10% of its 2 bytes per ordered pair.
 TEST(RelationStoreProperty, MapWorkloadStaysUnderTenPercentOfDense) {
   Rng rng(7u + 600u);
   const std::vector<Region> regions = SmallMapRegions(&rng, 600);
@@ -200,9 +190,10 @@ TEST(RelationStoreProperty, MapWorkloadStaysUnderTenPercentOfDense) {
       << "store " << store->bytes() << "B vs dense " << dense_bytes << "B";
 }
 
-// Sweep-strip concurrency: many single-row strips across 8 participants
-// must produce a bit-identical store (the tsan tier runs this under the
-// race detector; chunk_size 1 maximises strip interleaving).
+// Sweep-strip concurrency: many small row strips across up to 8
+// participants must produce a bit-identical store (the tsan tier runs this
+// under the race detector; ParallelFor's automatic chunking cuts 200 rows
+// into 3-row strips at 8 threads, maximising strip interleaving).
 TEST(RelationStoreConcurrency, StripParallelismIsDeterministic) {
   Rng rng(0xCAFEu);
   std::vector<Region> regions = SmallOverlapRegions(&rng, 120);
@@ -215,16 +206,15 @@ TEST(RelationStoreConcurrency, StripParallelismIsDeterministic) {
   auto expected = ComputeRelationStore(regions, serial);
   ASSERT_TRUE(expected.ok()) << expected.status();
 
-  for (size_t chunk : {size_t{1}, size_t{7}, size_t{0}}) {
+  for (int threads : {2, 3, 8}) {
     EngineOptions options;
-    options.threads = 8;
-    options.chunk_size = chunk;
+    options.threads = threads;
     EngineStats stats;
     auto store = ComputeRelationStore(regions, options, &stats);
     ASSERT_TRUE(store.ok()) << store.status();
-    EXPECT_EQ(stats.threads_used, 8);
+    EXPECT_EQ(stats.threads_used, threads);
     ASSERT_EQ(store->overlay_pairs(), expected->overlay_pairs());
-    EXPECT_EQ(store->Digest(), expected->Digest()) << "chunk " << chunk;
+    EXPECT_EQ(store->Digest(), expected->Digest()) << threads << " threads";
   }
 }
 

@@ -1,7 +1,8 @@
-// Contention stress for the work-stealing thread pool and the batch
-// engine, written for the ThreadSanitizer tier (ctest --preset tsan) but
-// fast enough to ride in every engine run. Chunk size 1 maximises steal
-// traffic: every claim is a fetch-add race window, and with more
+// Contention stress for the work-stealing thread pool, the sweep join and
+// the delta engine, written for the ThreadSanitizer tier (ctest --preset
+// tsan) but fast enough to ride in every engine run. Chunk size 1 (or
+// automatic chunking on small inputs, which yields 1-row strips) maximises
+// steal traffic: every claim is a fetch-add race window, and with more
 // participants than cores each shard is drained mostly by thieves.
 
 #include <atomic>
@@ -11,8 +12,9 @@
 
 #include "core/compute_cdr.h"
 #include "core/compute_cdr_percent.h"
-#include "engine/batch_engine.h"
 #include "engine/delta_engine.h"
+#include "engine/relation_store.h"
+#include "engine/serial_oracle.h"
 #include "engine/thread_pool.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
@@ -42,9 +44,10 @@ TEST(TsanStressTest, StealHeavyParallelForRounds) {
 }
 
 TEST(TsanStressTest, UnsynchronisedSlotWritesArePublished) {
-  // The engine's merge writes each pair's record into a precomputed slot
-  // with no per-slot synchronisation; the pool's join must publish those
-  // plain writes to the caller. Model exactly that access pattern.
+  // The sweep's emit pass writes each explicit pair's mask into a
+  // precomputed overlay slot with no per-slot synchronisation; the pool's
+  // join must publish those plain writes to the caller. Model exactly that
+  // access pattern.
   ThreadPool pool(8);
   const size_t count = 4'096;
   std::vector<uint64_t> slots(count, 0);
@@ -59,15 +62,11 @@ TEST(TsanStressTest, UnsynchronisedSlotWritesArePublished) {
 TEST(TsanStressTest, ConcurrentEnginesShareInputRegions) {
   // Several engines, each with its own parallel pool, hammer the same
   // (read-only) region vector concurrently — the CARDIRECT server-side
-  // usage pattern. Every run must reproduce the serial matrix.
+  // usage pattern. Every run must reproduce the serial loop.
   Rng rng(0x57E55);
   std::vector<Region> regions;
   for (int i = 0; i < 16; ++i) regions.push_back(RandomTestRegion(&rng));
-
-  EngineOptions serial_options;
-  serial_options.threads = 1;
-  const auto expected = ComputeAllPairs(regions, serial_options);
-  ASSERT_TRUE(expected.ok()) << expected.status();
+  const std::vector<uint16_t> expected = SerialMasks(regions);
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> drivers;
@@ -75,23 +74,19 @@ TEST(TsanStressTest, ConcurrentEnginesShareInputRegions) {
     drivers.emplace_back([&regions, &expected, &mismatches] {
       for (int run = 0; run < 3; ++run) {
         EngineOptions options;
-        options.threads = 4;
-        options.chunk_size = 1;  // Force maximal steal contention.
-        const auto pairs = ComputeAllPairs(regions, options);
-        if (!pairs.ok() || pairs->size() != expected->size()) {
+        options.threads = 4;  // 16 rows: automatic chunking, 1-row strips.
+        const auto store = ComputeRelationStore(regions, options);
+        if (!store.ok() || store->pair_count() != expected.size()) {
           mismatches.fetch_add(1);
           continue;
         }
-        for (size_t k = 0; k < pairs->size(); ++k) {
-          const PairRelation& got = (*pairs)[k];
-          const PairRelation& want = (*expected)[k];
-          if (got.primary != want.primary ||
-              got.reference != want.reference ||
-              got.relation != want.relation) {
-            mismatches.fetch_add(1);
-            break;
-          }
-        }
+        size_t k = 0;
+        bool same = true;
+        store->ForEach(
+            [&](size_t, size_t, const CardinalRelation& relation) {
+              if (relation.mask() != expected[k++]) same = false;
+            });
+        if (!same) mismatches.fetch_add(1);
       }
     });
   }
@@ -104,76 +99,18 @@ TEST(TsanStressTest, DigestIdenticalAcrossThreadCountsUnderContention) {
   std::vector<Region> regions;
   for (int i = 0; i < 24; ++i) regions.push_back(RandomTestRegion(&rng));
 
-  EngineOptions serial_options;
-  serial_options.threads = 1;
-  const auto serial = ComputeAllPairsDigest(regions, serial_options);
-  ASSERT_TRUE(serial.ok()) << serial.status();
+  const uint64_t serial = SerialDigest(regions);
 
   for (int threads : {2, 4, 8}) {
     EngineOptions options;
     options.threads = threads;
-    options.chunk_size = 1;
-    const auto digest = ComputeAllPairsDigest(regions, options);
-    ASSERT_TRUE(digest.ok()) << digest.status();
-    EXPECT_EQ(*digest, *serial) << threads << " threads";
+    const auto store = ComputeRelationStore(regions, options);
+    ASSERT_TRUE(store.ok()) << store.status();
+    EXPECT_EQ(store->Digest(), serial) << threads << " threads";
   }
 }
 
-// Overlap-heavy regions drive most pairs through the deferred crossing
-// queue, so this exercises the engine's two-queue handoff under maximal
-// contention: chunk size 1 in the classify phase (every per-chunk deferred
-// spill appends to the shared queue under its mutex) and crossing chunk
-// size 1 in the compute phase (every deferred pair is its own steal-able
-// chunk). Matrix and digest must both reproduce the serial run.
-TEST(TsanStressTest, CrossingQueueTwoPhaseHandoffUnderContention) {
-  Rng rng(0xC805);
-  std::vector<Region> regions;
-  for (int i = 0; i < 24; ++i) {
-    const double size = rng.NextDouble(40.0, 120.0);
-    const double x = rng.NextDouble(0.0, 200.0 - size);
-    const double y = rng.NextDouble(0.0, 200.0 - size);
-    regions.push_back(Region(MakeRectangle(x, y, x + size, y + size)));
-  }
-
-  EngineOptions serial_options;
-  serial_options.threads = 1;
-  EngineStats serial_stats;
-  const auto expected = ComputeAllPairs(regions, serial_options,
-                                        &serial_stats);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  ASSERT_GT(serial_stats.crossing_pairs, 0u)
-      << "layout must push pairs through the crossing queue";
-  const auto serial_digest = ComputeAllPairsDigest(regions, serial_options);
-  ASSERT_TRUE(serial_digest.ok()) << serial_digest.status();
-
-  for (int threads : {2, 4, 8}) {
-    EngineOptions options;
-    options.threads = threads;
-    options.chunk_size = 1;
-    options.crossing_chunk_size = 1;
-    EngineStats stats;
-    const auto pairs = ComputeAllPairs(regions, options, &stats);
-    ASSERT_TRUE(pairs.ok()) << pairs.status();
-    ASSERT_EQ(pairs->size(), expected->size());
-    EXPECT_EQ(stats.crossing_pairs, serial_stats.crossing_pairs)
-        << threads << " threads";
-    EXPECT_EQ(stats.prefiltered_pairs, serial_stats.prefiltered_pairs)
-        << threads << " threads";
-    for (size_t k = 0; k < pairs->size(); ++k) {
-      const PairRelation got = (*pairs)[k];
-      const PairRelation want = (*expected)[k];
-      ASSERT_EQ(got.primary, want.primary) << "slot " << k;
-      ASSERT_EQ(got.reference, want.reference) << "slot " << k;
-      ASSERT_EQ(got.relation, want.relation)
-          << threads << " threads, slot " << k;
-    }
-    const auto digest = ComputeAllPairsDigest(regions, options);
-    ASSERT_TRUE(digest.ok()) << digest.status();
-    EXPECT_EQ(*digest, *serial_digest) << threads << " threads";
-  }
-}
-
-// The phase-2 WorkerScratch pattern: each worker owns one CdrScratch whose
+// The per-worker scratch pattern: each worker owns one CdrScratch whose
 // SoA lane arrays are reused (and grown) across every pair it drains,
 // while all workers read the same region vector. Each thread interleaves
 // small and large polygons so EnsureCapacity regrows its buffers mid-run
@@ -196,7 +133,7 @@ TEST(TsanStressTest, SharedRegionsPerThreadScratchReuse) {
   std::vector<std::thread> workers;
   for (int w = 0; w < 8; ++w) {
     workers.emplace_back([&regions, &mismatches, w] {
-      CdrScratch scratch;  // Reused across every pair, like WorkerScratch.
+      CdrScratch scratch;  // Reused across every pair, like SweepScratch.
       CdrMetricsDelta metrics;
       for (int round = 0; round < 4; ++round) {
         for (size_t i = 0; i < regions.size(); ++i) {
@@ -237,47 +174,11 @@ TEST(TsanStressTest, SharedRegionsPerThreadScratchReuse) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// The same reuse contract through the engine itself: overlap-heavy input
-// (most pairs deferred to the crossing queue, so every worker's scratch
-// is hot) at crossing chunk size 1, against the serial matrix.
-TEST(TsanStressTest, EngineWorkerScratchReuseAcrossCrossingPairs) {
-  Rng rng(0x5C8A7C);
-  std::vector<Region> regions;
-  for (int i = 0; i < 20; ++i) {
-    const double size = rng.NextDouble(60.0, 160.0);
-    const double x = rng.NextDouble(0.0, 200.0 - size);
-    const double y = rng.NextDouble(0.0, 200.0 - size);
-    regions.push_back(Region(MakeRectangle(x, y, x + size, y + size)));
-  }
-
-  EngineOptions serial_options;
-  serial_options.threads = 1;
-  EngineStats serial_stats;
-  const auto expected = ComputeAllPairs(regions, serial_options,
-                                        &serial_stats);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  ASSERT_GT(serial_stats.crossing_pairs, regions.size())
-      << "layout must keep the worker scratches busy";
-
-  for (int run = 0; run < 3; ++run) {
-    EngineOptions options;
-    options.threads = 8;
-    options.crossing_chunk_size = 1;
-    const auto pairs = ComputeAllPairs(regions, options);
-    ASSERT_TRUE(pairs.ok()) << pairs.status();
-    ASSERT_EQ(pairs->size(), expected->size());
-    for (size_t k = 0; k < pairs->size(); ++k) {
-      ASSERT_EQ((*pairs)[k].relation, (*expected)[k].relation)
-          << "run " << run << ", slot " << k;
-    }
-  }
-}
-
 // The delta engine serializes mutations behind one mutex; this hammers
 // that lock with concurrent Move calls on distinct ids (each to an
 // absolute final geometry, so any interleaving converges to one state)
 // while other threads read Digest() mid-churn. The end digest must equal
-// a fresh batch compute — a dropped patch under contention would diverge.
+// the serial loop's — a dropped patch under contention would diverge.
 TEST(TsanStressTest, DeltaEngineConcurrentMovesAndDigestReaders) {
   Rng rng(0xDE17Au);
   std::vector<Region> regions;
@@ -312,9 +213,7 @@ TEST(TsanStressTest, DeltaEngineConcurrentMovesAndDigestReaders) {
   for (std::thread& worker : workers) worker.join();
   ASSERT_EQ(failures.load(), 0);
 
-  const auto expected = ComputeAllPairsDigest(final_regions);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  EXPECT_EQ(engine.Digest(), *expected);
+  EXPECT_EQ(engine.Digest(), SerialDigest(final_regions));
 }
 
 }  // namespace

@@ -3,13 +3,8 @@
 #include <string>
 #include <utility>
 
-#include <vector>
-
 #include "gtest/gtest.h"
 #include "core/edge_soa.h"
-#include "engine/batch_engine.h"
-#include "geometry/polygon.h"
-#include "geometry/region.h"
 #include "obs/metrics.h"
 
 namespace cardir {
@@ -112,52 +107,6 @@ TEST(MemstatsIntegrationTest, EdgeSoaChargesAndReleasesLaneBytes) {
               live_before + static_cast<int64_t>(stolen.LaneBytes()));
   }
   EXPECT_EQ(arena.LiveBytes(), live_before);
-}
-
-// Integration: the engine's deferred crossing queue is a fixed budget —
-// its arena charge is the configured capacity, not the (much larger)
-// number of pairs that defer, and overflow is computed inline with
-// identical results.
-TEST(MemstatsIntegrationTest, CrossingQueueChargeIsTheConfiguredCap) {
-  // Overlapping slats: every (tall, wide) pair crosses both axes, so far
-  // more pairs defer than the 8-entry cap below can hold.
-  std::vector<Region> regions;
-  for (int i = 0; i < 24; ++i) {
-    const double offset = 10.0 * i;
-    if (i % 2 == 0) {
-      regions.push_back(
-          Region(MakeRectangle(100.0 + offset, 0.0, 120.0 + offset, 500.0)));
-    } else {
-      regions.push_back(
-          Region(MakeRectangle(0.0, 100.0 + offset, 500.0, 120.0 + offset)));
-    }
-  }
-
-  EngineOptions uncapped;
-  auto expected = ComputeAllPairs(regions, uncapped);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-
-  MemArena& arena = MemArena::Get("crossing_queue");
-  const int64_t live_before = arena.LiveBytes();
-  ResetMemPeaks();
-
-  EngineOptions capped;
-  capped.crossing_queue_capacity = 8;  // 8 pairs · 8 bytes = 64 bytes.
-  EngineStats stats;
-  auto pairs = ComputeAllPairs(regions, capped, &stats);
-  ASSERT_TRUE(pairs.ok()) << pairs.status();
-
-  // Far more pairs deferred than the cap holds...
-  EXPECT_GT(stats.crossing_pairs, 8u);
-  // ...yet the arena's high-water is exactly the 64-byte budget,
-  EXPECT_EQ(arena.PeakBytes() - live_before, 64);
-  // the backing store was released,
-  EXPECT_EQ(arena.LiveBytes(), live_before);
-  // and the output is identical to the unbounded run.
-  ASSERT_EQ(pairs->size(), expected->size());
-  for (size_t k = 0; k < pairs->size(); ++k) {
-    ASSERT_EQ((*pairs)[k].relation.mask(), (*expected)[k].relation.mask());
-  }
 }
 
 #else  // !CARDIR_OBS_ENABLED

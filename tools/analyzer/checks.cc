@@ -8,11 +8,10 @@
 //                        called with no visible `.ok()` guard (and no
 //                        CARDIR_ASSIGN_OR_RETURN) earlier in the function.
 //                        Cast to (void) to discard deliberately.
-//  scratch-escape        A CdrScratch/WorkerScratch/EdgeSoA/SweepScratch is
+//  scratch-escape        A CdrScratch/EdgeSoA/SweepScratch/DeltaScratch is
 //                        captured by reference in a lambda handed to an API
-//                        that may
-//                        outlive the enclosing scope (Submit/Post/async/
-//                        std::thread/push_back of callables...). The
+//                        that may outlive the enclosing scope (Submit/Post/
+//                        async/std::thread/push_back of callables...). The
 //                        sanctioned pattern — per-participant scratch in a
 //                        synchronous ParallelFor — is not flagged.
 //  float-eq              `==`/`!=` where an operand is a floating literal, a
@@ -28,9 +27,10 @@
 //                        effect silently vanishes in those builds.
 //  lock-across-compute   A scoped lock (lock_guard/unique_lock/scoped_lock/
 //                        shared_lock) is alive across a ComputeCdr*/
-//                        ComputeAllPairs call in src/engine — Compute-CDR
-//                        runs for hundreds of microseconds on crossing
-//                        pairs and must never serialize behind a mutex.
+//                        ComputeRelationStore call in src/engine —
+//                        Compute-CDR runs for hundreds of microseconds on
+//                        crossing pairs and must never serialize behind a
+//                        mutex.
 
 #include <algorithm>
 #include <cstddef>
@@ -308,14 +308,13 @@ void CheckUncheckedResult(const FileTokens& file,
 
 const std::set<std::string>& ScratchTypes() {
   static const std::set<std::string> kTypes = {
-      "CdrScratch", "WorkerScratch", "EdgeSoA", "SweepScratch",
-      "DeltaScratch"};
+      "CdrScratch", "EdgeSoA", "SweepScratch", "DeltaScratch"};
   return kTypes;
 }
 
 // APIs that may run or keep a callable beyond the enclosing scope. The
 // synchronous pool entry point (ParallelFor) is deliberately absent: the
-// per-participant WorkerScratch capture inside it is the engine's sanctioned
+// per-participant SweepScratch capture inside it is the engine's sanctioned
 // ownership pattern.
 const std::set<std::string>& EscapeSinks() {
   static const std::set<std::string> kSinks = {
@@ -580,7 +579,7 @@ void CheckLockAcrossCompute(const FileTokens& file,
     if (!locks.empty() && tok.kind == TokKind::kIdent &&
         i + 1 < tokens.size() && IsPunct(tokens[i + 1], "(") &&
         (tok.text.rfind("ComputeCdr", 0) == 0 ||
-         tok.text.rfind("ComputeAllPairs", 0) == 0 ||
+         tok.text.rfind("ComputeRelationStore", 0) == 0 ||
          tok.text == "ComputeAllRelations")) {
       diags->push_back(Diagnostic{
           "lock-across-compute", file.path, tok.line,
@@ -599,8 +598,8 @@ const std::vector<std::pair<std::string, std::string>>& CheckCatalog() {
       {"unchecked-result",
        "Result<T>/Status discarded or .value()'d without an ok() guard"},
       {"scratch-escape",
-       "CdrScratch/WorkerScratch/EdgeSoA captured by reference in a lambda "
-       "handed to an API that may outlive the worker loop"},
+       "CdrScratch/EdgeSoA/SweepScratch/DeltaScratch captured by reference "
+       "in a lambda handed to an API that may outlive the worker loop"},
       {"float-eq",
        "==/!= on floating-point operands in src/core + src/geometry outside "
        "annotated proven-exact sites"},
@@ -608,7 +607,8 @@ const std::vector<std::pair<std::string, std::string>>& CheckCatalog() {
        "side-effecting argument to a macro that compiles out under "
        "CARDIR_OBS=OFF / CARDIR_AUDIT=OFF"},
       {"lock-across-compute",
-       "mutex held across a ComputeCdr*/ComputeAllPairs call in src/engine"},
+       "mutex held across a ComputeCdr*/ComputeRelationStore call in "
+       "src/engine"},
   };
   return kCatalog;
 }

@@ -21,10 +21,7 @@ import json
 import sys
 
 MEM_COLUMNS = [
-    ("mem_pair_matrix_peak_bytes", "matrix"),
     ("mem_edge_soa_peak_bytes", "edge_soa"),
-    ("mem_worker_scratch_peak_bytes", "scratch"),
-    ("mem_crossing_queue_peak_bytes", "queue"),
     ("mem_relation_store_peak_bytes", "store"),
     ("mem_total_peak_bytes", "total"),
     ("mem_process_rss_bytes", "rss"),
@@ -133,38 +130,7 @@ def main():
               "(ledger predates obs memstats or CARDIR_OBS=OFF)",
               file=sys.stderr)
 
-    # Sweep vs dense side by side: for every (workload, n) that ran both the
-    # sweep join and the single-thread dense engine, how much wall time and
-    # peak memory the sweep saves. This is the headline the nightly report
-    # watches; the perf_smoke ratios only compare like against like.
     by_key = {row_key(run): run for run in runs}
-    comparisons = []
-    for run in runs:
-        if run.get("mode") != "engine_sweep":
-            continue
-        dense = by_key.get((run.get("workload"), run.get("regions"),
-                            "engine_prefilter", 1))
-        comparisons.append((run, dense))
-    if comparisons:
-        print("\nsweep join vs dense engine (engine_prefilter, 1 thread):")
-        print(f"{'workload':10s} {'n':>7s} {'dense ms':>9s} {'sweep ms':>9s} "
-              f"{'speedup':>8s} {'dense peak':>11s} {'sweep peak':>11s}")
-        for sweep, dense in comparisons:
-            n = sweep.get("regions")
-            if dense is None:
-                # Sizes above --engine-cap have no dense row at all — that
-                # is the sweep's point; say so rather than dropping the row.
-                print(f"{sweep.get('workload'):10s} {n:7d} {'-':>9s} "
-                      f"{sweep.get('ms', 0.0):9.1f} {'-':>8s} {'-':>11s} "
-                      f"{human_bytes(sweep.get('mem_total_peak_bytes')):>11s}")
-                continue
-            speedup = (dense.get("ms", 0.0) / sweep.get("ms", 1.0)
-                       if sweep.get("ms") else 0.0)
-            print(f"{sweep.get('workload'):10s} {n:7d} "
-                  f"{dense.get('ms', 0.0):9.1f} {sweep.get('ms', 0.0):9.1f} "
-                  f"{speedup:7.1f}x "
-                  f"{human_bytes(dense.get('mem_total_peak_bytes')):>11s} "
-                  f"{human_bytes(sweep.get('mem_total_peak_bytes')):>11s}")
 
     # Delta-maintenance latency: median/p99 per mutation kind, and the
     # headline ratio — one median mutation vs recomputing the same

@@ -4,9 +4,9 @@
 Joins the two BENCH_engine.json ledgers on (workload, regions, mode,
 threads) and fails when any matched row's fresh wall time exceeds the
 baseline by more than the threshold ratio (default 1.30, i.e. a >30%
-regression). Rows present in only one ledger (different size lists,
-host-dependent engine_parallel_hw thread counts) are reported and skipped,
-as are rows under --min-ms, whose wall times are scheduler noise.
+regression). Rows present in only one ledger (different size lists, the
+host-dependent thread count of engine_sweep_parallel) are reported and
+skipped, as are rows under --min-ms, whose wall times are scheduler noise.
 
 Memory gate: rows carrying the mem_total_peak_bytes column (obs memory
 telemetry) are additionally checked against --mem-threshold (default 1.50).
