@@ -1,17 +1,80 @@
 #include "cardirect/model.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 
 #include "core/compute_cdr_percent.h"
 #include "util/string_util.h"
 
 namespace cardir {
 
+namespace {
+
+// An id_slots_ entry that holds no position.
+constexpr uint32_t kFreeSlot = std::numeric_limits<uint32_t>::max();
+
+size_t HomeSlot(const std::string& id, size_t mask) {
+  return std::hash<std::string>{}(id) & mask;
+}
+
+// The slot holding the position of `id`, or the free slot that ends its
+// probe chain. `slots` is a power of two in size and never full.
+size_t ProbeSlot(const std::vector<uint32_t>& slots,
+                 const std::vector<AnnotatedRegion>& regions,
+                 const std::string& id) {
+  const size_t mask = slots.size() - 1;
+  size_t slot = HomeSlot(id, mask);
+  while (slots[slot] != kFreeSlot && regions[slots[slot]].id != id) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+}  // namespace
+
+size_t Configuration::PositionOf(const std::string& id) const {
+  if (id_slots_.empty()) return regions_.size();
+  const uint32_t position = id_slots_[ProbeSlot(id_slots_, regions_, id)];
+  return position == kFreeSlot ? regions_.size() : position;
+}
+
+void Configuration::IndexPosition(size_t position) {
+  const size_t mask = id_slots_.size() - 1;
+  size_t slot = HomeSlot(regions_[position].id, mask);
+  while (id_slots_[slot] != kFreeSlot) slot = (slot + 1) & mask;
+  id_slots_[slot] = static_cast<uint32_t>(position);
+}
+
+void Configuration::UnindexPosition(size_t position) {
+  // Backward-shift erase: walk the rest of the probe chain and pull each
+  // entry whose home slot does not lie between the hole and itself back
+  // into the hole, so no chain is broken by the freed slot.
+  const size_t mask = id_slots_.size() - 1;
+  size_t hole = ProbeSlot(id_slots_, regions_, regions_[position].id);
+  for (size_t slot = (hole + 1) & mask; id_slots_[slot] != kFreeSlot;
+       slot = (slot + 1) & mask) {
+    const size_t home = HomeSlot(regions_[id_slots_[slot]].id, mask);
+    if (((slot - home) & mask) >= ((slot - hole) & mask)) {
+      id_slots_[hole] = id_slots_[slot];
+      hole = slot;
+    }
+  }
+  id_slots_[hole] = kFreeSlot;
+  // One contiguous pass: the regions after `position` move down by one.
+  // Branch-free: free and occupied slots alternate unpredictably, so a
+  // branch per slot mispredicts often.
+  const uint32_t removed = static_cast<uint32_t>(position);
+  for (uint32_t& entry : id_slots_) {
+    entry -= static_cast<uint32_t>(entry > removed && entry != kFreeSlot);
+  }
+}
+
 Status Configuration::AddRegion(AnnotatedRegion region) {
   if (region.id.empty()) {
     return Status::InvalidArgument("region id must not be empty");
   }
-  if (FindRegion(region.id) != nullptr) {
+  if (PositionOf(region.id) != regions_.size()) {
     return Status::AlreadyExists("duplicate region id: '" + region.id + "'");
   }
   region.geometry.EnsureClockwise();
@@ -28,50 +91,56 @@ Status Configuration::AddRegion(AnnotatedRegion region) {
     if (!applied.ok()) return applied.status();
   }
   regions_.push_back(std::move(region));
+  if (2 * regions_.size() > id_slots_.size()) {
+    // Keep the table at most half full: rebuild it at twice the size.
+    id_slots_.assign(std::max<size_t>(16, 2 * id_slots_.size()), kFreeSlot);
+    for (size_t position = 0; position < regions_.size(); ++position) {
+      IndexPosition(position);
+    }
+  } else {
+    IndexPosition(regions_.size() - 1);
+  }
   return Status::Ok();
 }
 
 Status Configuration::RemoveRegion(const std::string& id) {
-  auto it = std::find_if(regions_.begin(), regions_.end(),
-                         [&id](const AnnotatedRegion& r) { return r.id == id; });
-  if (it == regions_.end()) {
+  const size_t index = PositionOf(id);
+  if (index == regions_.size()) {
     return Status::NotFound("no region with id '" + id + "'");
   }
   if (relation_store() != nullptr) {
     // Delta-maintain the computed store: only the removed region's pairs
     // go, everything else keeps its stored relation.
     PromoteToDelta();
-    const size_t index = static_cast<size_t>(it - regions_.begin());
     Result<DeltaResult> applied = delta_->Remove(index);
     if (!applied.ok()) return applied.status();
-    regions_.erase(it);
-    return Status::Ok();
+  } else {
+    relations_.erase(
+        std::remove_if(relations_.begin(), relations_.end(),
+                       [&id](const RelationRecord& rec) {
+                         return rec.primary_id == id || rec.reference_id == id;
+                       }),
+        relations_.end());
   }
-  regions_.erase(it);
-  relations_.erase(
-      std::remove_if(relations_.begin(), relations_.end(),
-                     [&id](const RelationRecord& rec) {
-                       return rec.primary_id == id || rec.reference_id == id;
-                     }),
-      relations_.end());
+  UnindexPosition(index);
+  regions_.erase(regions_.begin() + static_cast<std::ptrdiff_t>(index));
   return Status::Ok();
 }
 
 Status Configuration::AddPolygonToRegion(const std::string& id,
                                          Polygon polygon) {
-  auto it = std::find_if(regions_.begin(), regions_.end(),
-                         [&id](const AnnotatedRegion& r) { return r.id == id; });
-  if (it == regions_.end()) {
+  const size_t index = PositionOf(id);
+  if (index == regions_.size()) {
     return Status::NotFound("no region with id '" + id + "'");
   }
   polygon.EnsureClockwise();
   CARDIR_RETURN_IF_ERROR(polygon.Validate());
-  it->geometry.AddPolygon(std::move(polygon));
+  AnnotatedRegion& region = regions_[index];
+  region.geometry.AddPolygon(std::move(polygon));
   if (relation_store() != nullptr) {
     // Re-resolve just this region's dirty pairs against the grown geometry.
     PromoteToDelta();
-    const size_t index = static_cast<size_t>(it - regions_.begin());
-    Result<DeltaResult> applied = delta_->Move(index, it->geometry);
+    Result<DeltaResult> applied = delta_->Move(index, region.geometry);
     if (!applied.ok()) return applied.status();
     return Status::Ok();
   }
@@ -86,10 +155,8 @@ Status Configuration::AddPolygonToRegion(const std::string& id,
 }
 
 const AnnotatedRegion* Configuration::FindRegion(const std::string& id) const {
-  for (const AnnotatedRegion& region : regions_) {
-    if (region.id == id) return &region;
-  }
-  return nullptr;
+  const size_t position = PositionOf(id);
+  return position < regions_.size() ? &regions_[position] : nullptr;
 }
 
 std::vector<const AnnotatedRegion*> Configuration::RegionsByColor(
@@ -137,11 +204,8 @@ std::optional<CardinalRelation> Configuration::StoredRelation(
     const std::string& primary_id, const std::string& reference_id) const {
   const RelationStore* store = relation_store();
   if (store != nullptr) {
-    size_t primary = regions_.size(), reference = regions_.size();
-    for (size_t i = 0; i < regions_.size(); ++i) {
-      if (regions_[i].id == primary_id) primary = i;
-      if (regions_[i].id == reference_id) reference = i;
-    }
+    const size_t primary = PositionOf(primary_id);
+    const size_t reference = PositionOf(reference_id);
     if (primary == regions_.size() || reference == regions_.size() ||
         primary == reference) {
       return std::nullopt;

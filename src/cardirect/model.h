@@ -8,6 +8,7 @@
 #ifndef CARDIR_CARDIRECT_MODEL_H_
 #define CARDIR_CARDIRECT_MODEL_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,6 +38,10 @@ struct RelationRecord {
 };
 
 /// A CARDIRECT configuration (the DTD's Image element).
+///
+/// Regions are addressed by id through a hash index over their positions in
+/// regions(), so every id-keyed call below resolves its ids in O(1)
+/// expected time.
 class Configuration {
  public:
   Configuration() = default;
@@ -99,26 +104,31 @@ class Configuration {
     return delta_.has_value() ? &*delta_ : nullptr;
   }
 
-  /// Adds a region; fails on duplicate/empty id or invalid geometry.
+  /// Adds a region; fails on an empty id (InvalidArgument), a duplicate id
+  /// (AlreadyExists, checked before the geometry) or invalid geometry.
   /// Polygon rings are reoriented to the canonical clockwise order. On a
   /// computed configuration the new region's relations are resolved
   /// incrementally (DeltaEngine::Insert) — the store stays complete, no
-  /// recompute needed.
+  /// recompute needed. The duplicate check is O(1) expected; indexing the
+  /// new id is O(1) amortized.
   Status AddRegion(AnnotatedRegion region);
 
   /// Removes the region with `id` and every stored relation touching it.
   /// On a computed configuration the store is delta-maintained
   /// (DeltaEngine::Remove); all other pairs keep their stored relations.
+  /// O(n) besides the store update: every region after the removed one
+  /// shifts down one position, and the id index renumbers with it.
   Status RemoveRegion(const std::string& id);
 
   /// Appends one more polygon to an existing region (regions in REG* are
   /// sets of polygons). The ring is reoriented to clockwise and validated.
   /// On a computed configuration the region's relations are re-resolved
   /// incrementally (DeltaEngine::Move); XML-loaded records touching the
-  /// region are dropped as stale instead.
+  /// region are dropped as stale instead. Finding the region is O(1)
+  /// expected.
   Status AddPolygonToRegion(const std::string& id, Polygon polygon);
 
-  /// The region with `id`, or nullptr.
+  /// The region with `id`, or nullptr. O(1) expected.
   const AnnotatedRegion* FindRegion(const std::string& id) const;
 
   /// Regions carrying thematic color `color`.
@@ -137,7 +147,10 @@ class Configuration {
                              EngineStats* stats = nullptr);
 
   /// The stored relation `primary R reference`, or nullopt when relations
-  /// have not been computed (or a region is missing).
+  /// have not been computed (or a region is missing). O(1) expected on a
+  /// computed configuration: two id lookups plus RelationStore::Relation.
+  /// On an XML-loaded configuration it scans the explicit records, which
+  /// stay a list until loading rebuilds a store from the geometry.
   std::optional<CardinalRelation> StoredRelation(
       const std::string& primary_id, const std::string& reference_id) const;
 
@@ -160,9 +173,24 @@ class Configuration {
   // delta engine is already active or nothing was computed.
   void PromoteToDelta();
 
+  // The position of the region with `id` in regions_, or regions_.size().
+  size_t PositionOf(const std::string& id) const;
+  // Puts `position` into a free slot of id_slots_ on its id's probe chain.
+  void IndexPosition(size_t position);
+  // Erases `position` from id_slots_ and renumbers the positions above it
+  // down by one; call before regions_ drops the region.
+  void UnindexPosition(size_t position);
+
   std::string name_;
   std::string image_file_;
   std::vector<AnnotatedRegion> regions_;
+  // The id index: an open-addressing hash table (linear probing, a power
+  // of two in size, at most half full) of positions in regions_, hashed
+  // through regions_[position].id. Positions, not ids or views of them,
+  // so the table stays valid when regions_ reallocates and copies with
+  // the configuration. Positions are the indices the store and delta
+  // engine use.
+  std::vector<uint32_t> id_slots_;
   // Stored relations: at most one representation is active. `store_` right
   // after ComputeAllRelations (indices parallel regions_); `delta_` once a
   // computed configuration is mutated (it owns the maintained store);

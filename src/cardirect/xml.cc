@@ -378,6 +378,12 @@ Result<Configuration> ConfigurationFromXml(std::string_view xml) {
     }
     CARDIR_ASSIGN_OR_RETURN(CardinalRelation relation,
                             CardinalRelation::Parse(*type));
+    // A region has no direction relation to itself; a computed store never
+    // holds one either.
+    if (*primary == *reference) {
+      return Status::ParseError("<Relation> relates region '" + *primary +
+                                "' to itself");
+    }
     records.push_back({*primary, *reference, relation});
   }
   configuration.SetRelations(std::move(records));

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "util/random.h"
+
 namespace cardir {
 namespace {
 
@@ -183,6 +189,140 @@ TEST(ConfigurationTest, RemoveRegionAfterComputeKeepsOtherPairs) {
   ASSERT_TRUE(config.RemoveRegion("a").ok());
   EXPECT_EQ(config.relation_count(), 2u);
   ExpectMatchesRecompute(config);
+}
+
+std::string NumberedId(uint64_t number) {
+  std::string id = "r";
+  id += std::to_string(number);
+  return id;
+}
+
+// The id index against a linear-scan shadow of the region order. A seeded
+// script keeps a few hundred of 600 ids live, so the index grows and its
+// probe chains collide. Steps: adds of fresh, re-added and duplicate ids
+// (some with empty geometry, which a duplicate must not reach) and of the
+// empty id; removes and polygon adds of present and absent ids; and two
+// copy-assignments of the whole configuration. After every step, each
+// status code, FindRegion of every live id and of sampled ids, and on a
+// computed (delta-backed) configuration StoredRelation of sampled pairs
+// against the store at the shadow's positions must match.
+void RunIdIndexScript(bool computed, uint64_t seed) {
+  constexpr uint64_t kIds = 600;
+  constexpr int kSteps = 2000;
+  Rng rng(seed);
+  auto random_id = [&rng] { return NumberedId(rng.NextBelow(kIds)); };
+  auto random_rectangle = [&rng] {
+    const double x = rng.NextDouble(0, 1000);
+    const double y = rng.NextDouble(0, 1000);
+    return MakeRectangle(x, y, x + rng.NextDouble(1, 60),
+                         y + rng.NextDouble(1, 60));
+  };
+  auto region_named = [&random_rectangle](const std::string& id) {
+    AnnotatedRegion region;
+    region.id = id;
+    region.geometry.AddPolygon(random_rectangle());
+    return region;
+  };
+
+  Configuration config;
+  std::vector<std::string> shadow;  // ids in regions() order
+  auto shadow_position = [&shadow](const std::string& id) {
+    return static_cast<size_t>(std::find(shadow.begin(), shadow.end(), id) -
+                               shadow.begin());
+  };
+  for (uint64_t i = 0; i < kIds; i += 3) {
+    shadow.push_back(NumberedId(i));
+    ASSERT_TRUE(config.AddRegion(region_named(shadow.back())).ok());
+  }
+  if (computed) {
+    ASSERT_TRUE(config.ComputeAllRelations().ok());
+  }
+
+  for (int step = 0; step < kSteps; ++step) {
+    const std::string id = random_id();
+    const size_t position = shadow_position(id);
+    const bool live = position < shadow.size();
+    const uint64_t kind = rng.NextBelow(10);
+    if (step == kSteps / 3 || step == 2 * kSteps / 3) {
+      // Over a configuration with its own (smaller) index, then back over
+      // an empty one.
+      Configuration other("other", "other.png");
+      ASSERT_TRUE(other.AddRegion(region_named("stale")).ok());
+      other = config;
+      config = Configuration();
+      config = other;
+    } else if (kind < 4) {
+      const bool empty_id = rng.NextBool(0.02);
+      const bool empty_geometry = rng.NextBool(0.1);
+      AnnotatedRegion region = region_named(empty_id ? "" : id);
+      if (empty_geometry) region.geometry = Region();
+      StatusCode want = StatusCode::kOk;
+      if (empty_id) {
+        want = StatusCode::kInvalidArgument;
+      } else if (live) {
+        want = StatusCode::kAlreadyExists;
+      } else if (empty_geometry) {
+        want = StatusCode::kInvalidArgument;
+      }
+      ASSERT_EQ(config.AddRegion(std::move(region)).code(), want)
+          << "step " << step << " add '" << id << "'";
+      if (want == StatusCode::kOk) shadow.push_back(id);
+    } else if (kind < 7) {
+      ASSERT_EQ(config.RemoveRegion(id).code(),
+                live ? StatusCode::kOk : StatusCode::kNotFound)
+          << "step " << step << " remove '" << id << "'";
+      if (live) {
+        shadow.erase(shadow.begin() + static_cast<std::ptrdiff_t>(position));
+      }
+    } else {
+      ASSERT_EQ(config.AddPolygonToRegion(id, random_rectangle()).code(),
+                live ? StatusCode::kOk : StatusCode::kNotFound)
+          << "step " << step << " add polygon to '" << id << "'";
+    }
+
+    const auto& regions = config.regions();
+    ASSERT_EQ(regions.size(), shadow.size()) << "step " << step;
+    for (size_t i = 0; i < shadow.size(); ++i) {
+      ASSERT_EQ(regions[i].id, shadow[i]) << "step " << step;
+      ASSERT_EQ(config.FindRegion(shadow[i]), &regions[i])
+          << "step " << step << " find '" << shadow[i] << "'";
+    }
+    for (int k = 0; k < 16; ++k) {
+      const std::string probe = random_id();
+      const size_t at = shadow_position(probe);
+      ASSERT_EQ(config.FindRegion(probe),
+                at < shadow.size() ? &regions[at] : nullptr)
+          << "step " << step << " find '" << probe << "'";
+    }
+    ASSERT_EQ(config.FindRegion("stale"), nullptr) << "step " << step;
+    ASSERT_EQ(config.FindRegion(""), nullptr) << "step " << step;
+    if (!computed) continue;
+    const RelationStore* store = config.relation_store();
+    ASSERT_NE(store, nullptr) << "step " << step;
+    for (int k = 0; k < 16; ++k) {
+      const size_t a = rng.NextBelow(shadow.size());
+      const size_t b = rng.NextBelow(shadow.size());
+      const auto stored = config.StoredRelation(shadow[a], shadow[b]);
+      if (a == b) {
+        ASSERT_FALSE(stored.has_value()) << "step " << step;
+        continue;
+      }
+      ASSERT_TRUE(stored.has_value()) << "step " << step;
+      ASSERT_EQ(*stored, store->Relation(a, b))
+          << "step " << step << " " << shadow[a] << " vs " << shadow[b];
+    }
+  }
+  if (computed) {
+    EXPECT_NE(config.delta_engine(), nullptr);
+  }
+}
+
+TEST(ConfigurationTest, IdIndexMatchesLinearScanShadow) {
+  RunIdIndexScript(/*computed=*/false, 1301);
+}
+
+TEST(ConfigurationTest, IdIndexMatchesLinearScanShadowOnComputedStore) {
+  RunIdIndexScript(/*computed=*/true, 1302);
 }
 
 TEST(ConfigurationTest, ComputePercentagesOnDemand) {

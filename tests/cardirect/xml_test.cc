@@ -174,6 +174,21 @@ TEST(ConfigurationXmlTest, RejectsBadConfigurations) {
                    "<Edge x=\"zero\" y=\"0\"/><Edge x=\"0\" y=\"1\"/>"
                    "<Edge x=\"1\" y=\"0\"/></Polygon></Region></Image>")
                    .ok());
+  const std::string region_r =
+      "<Region id=\"r\"><Polygon id=\"p\"><Edge x=\"0\" y=\"0\"/>"
+      "<Edge x=\"0\" y=\"1\"/><Edge x=\"1\" y=\"0\"/></Polygon></Region>";
+  // Two regions with one id.
+  EXPECT_EQ(ConfigurationFromXml("<Image>" + region_r + region_r + "</Image>")
+                .status()
+                .code(),
+            StatusCode::kAlreadyExists);
+  // A relation of a region to itself, with a valid type.
+  const auto self = ConfigurationFromXml(
+      "<Image>" + region_r +
+      "<Relation type=\"B\" primary=\"r\" reference=\"r\"/></Image>");
+  EXPECT_EQ(self.status().code(), StatusCode::kParseError);
+  EXPECT_NE(self.status().message().find("'r'"), std::string::npos)
+      << self.status();
 }
 
 TEST(ConfigurationXmlTest, SaveAndLoadFiles) {
