@@ -1,77 +1,20 @@
-// Experiment E18 (DESIGN.md): the R-tree substrate and filter-and-refine
-// directional queries (ref [13]) versus the nested-loop plan, as the number
-// of indexed regions grows. Expected shape: index build is n·log n-ish,
-// point/window searches are logarithmic, and directional queries beat the
-// nested loop by the filter's selectivity.
+// Experiment E18 (DESIGN.md): directional queries ("all regions a with
+// a R b") answered by DirectionalIndex::FindMatching, versus a nested loop
+// that runs Compute-CDR on every candidate. FindMatching decides a pair from
+// the two bounding boxes when they allow it and refines the rest; the
+// "refined" counter is the number of Compute-CDR runs per query, read from
+// the index.query.refined metric (so 0 in a -DCARDIR_OBS=OFF build).
 
 #include <benchmark/benchmark.h>
 
 #include "core/compute_cdr.h"
 #include "index/directional_query.h"
-#include "index/rtree.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 #include "workload/scenario_gen.h"
 
 namespace cardir {
 namespace {
-
-Box RandomBox(Rng* rng, double canvas) {
-  const double w = rng->NextDouble(1.0, 40.0);
-  const double h = rng->NextDouble(1.0, 40.0);
-  const double x = rng->NextDouble(0.0, canvas - w);
-  const double y = rng->NextDouble(0.0, canvas - h);
-  return Box(x, y, x + w, y + h);
-}
-
-void BM_RTreeBuild(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(1);
-  std::vector<Box> boxes;
-  boxes.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) boxes.push_back(RandomBox(&rng, 10000.0));
-  for (auto _ : state) {
-    RTree tree;
-    for (int i = 0; i < n; ++i) {
-      (void)tree.Insert(boxes[static_cast<size_t>(i)], i);
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RTreeBuild)->RangeMultiplier(8)->Range(1 << 8, 1 << 17);
-
-void BM_RTreeBulkLoad(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(1);
-  std::vector<std::pair<Box, int64_t>> entries;
-  entries.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    entries.emplace_back(RandomBox(&rng, 10000.0), i);
-  }
-  for (auto _ : state) {
-    RTree tree;
-    auto copy = entries;
-    (void)tree.BulkLoad(std::move(copy));
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RTreeBulkLoad)->RangeMultiplier(8)->Range(1 << 8, 1 << 17);
-
-void BM_RTreeSearch(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(2);
-  RTree tree;
-  for (int i = 0; i < n; ++i) {
-    (void)tree.Insert(RandomBox(&rng, 10000.0), i);
-  }
-  for (auto _ : state) {
-    const Box query = RandomBox(&rng, 10000.0);
-    benchmark::DoNotOptimize(tree.SearchIds(query));
-  }
-  state.counters["entries"] = n;
-}
-BENCHMARK(BM_RTreeSearch)->RangeMultiplier(8)->Range(1 << 8, 1 << 17);
 
 Configuration MakeConfig(int num_regions) {
   Rng rng(33);
@@ -83,18 +26,21 @@ Configuration MakeConfig(int num_regions) {
 
 void BM_DirectionalQueryIndexed(benchmark::State& state) {
   const Configuration config = MakeConfig(static_cast<int>(state.range(0)));
-  const DirectionalIndex index = std::move(DirectionalIndex::Build(config)).value();
   const std::string reference = config.regions()[config.regions().size() / 2].id;
-  const CardinalRelation relation = *CardinalRelation::Parse("NE");
-  DirectionalQueryStats stats;
+  const DisjunctiveRelation relation(*CardinalRelation::Parse("NE"));
+  const uint64_t refined_before = obs::CaptureMetrics().counter("index.query.refined");
   for (auto _ : state) {
-    auto result = index.FindExact(reference, relation, &stats);
+    const DirectionalIndex index = std::move(DirectionalIndex::Build(config)).value();
+    auto result = index.FindMatching(reference, relation);
     benchmark::DoNotOptimize(result);
   }
+  const uint64_t refined =
+      obs::CaptureMetrics().counter("index.query.refined") - refined_before;
   state.counters["regions"] = static_cast<double>(config.regions().size());
-  state.counters["refined"] = static_cast<double>(stats.refined);
+  state.counters["refined"] =
+      static_cast<double>(refined) / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_DirectionalQueryIndexed)->RangeMultiplier(4)->Range(16, 1024);
+BENCHMARK(BM_DirectionalQueryIndexed)->RangeMultiplier(4)->Range(16, 4096);
 
 void BM_DirectionalQueryBruteForce(benchmark::State& state) {
   const Configuration config = MakeConfig(static_cast<int>(state.range(0)));
@@ -113,7 +59,7 @@ void BM_DirectionalQueryBruteForce(benchmark::State& state) {
   }
   state.counters["regions"] = static_cast<double>(config.regions().size());
 }
-BENCHMARK(BM_DirectionalQueryBruteForce)->RangeMultiplier(4)->Range(16, 1024);
+BENCHMARK(BM_DirectionalQueryBruteForce)->RangeMultiplier(4)->Range(16, 4096);
 
 }  // namespace
 }  // namespace cardir

@@ -154,6 +154,33 @@ Status Configuration::AddPolygonToRegion(const std::string& id,
   return Status::Ok();
 }
 
+Status Configuration::SetRelations(std::vector<RelationRecord> relations) {
+  // One (primary position << 32 | reference position) key per record, so a
+  // pair stated twice sorts next to itself.
+  std::vector<uint64_t> pairs;
+  pairs.reserve(relations.size());
+  for (const RelationRecord& record : relations) {
+    const size_t primary = PositionOf(record.primary_id);
+    const size_t reference = PositionOf(record.reference_id);
+    if (primary == regions_.size() || reference == regions_.size()) {
+      return Status::NotFound("relation names an unknown region id");
+    }
+    pairs.push_back(static_cast<uint64_t>(primary) << 32 | reference);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  const auto duplicate = std::adjacent_find(pairs.begin(), pairs.end());
+  if (duplicate != pairs.end()) {
+    return Status::ParseError("<Relation> states the pair primary='" +
+                              regions_[*duplicate >> 32].id + "' reference='" +
+                              regions_[*duplicate & 0xffffffffu].id +
+                              "' more than once");
+  }
+  relations_ = std::move(relations);
+  store_.reset();
+  delta_.reset();
+  return Status::Ok();
+}
+
 const AnnotatedRegion* Configuration::FindRegion(const std::string& id) const {
   const size_t position = PositionOf(id);
   return position < regions_.size() ? &regions_[position] : nullptr;

@@ -160,12 +160,11 @@ class Configuration {
       const std::string& primary_id, const std::string& reference_id) const;
 
   /// Replaces the stored relations with explicit records (used by the XML
-  /// reader). Drops any computed store / delta engine.
-  void SetRelations(std::vector<RelationRecord> relations) {
-    relations_ = std::move(relations);
-    store_.reset();
-    delta_.reset();
-  }
+  /// reader), kept in the given order. Drops any computed store / delta
+  /// engine. Fails, changing nothing, with NotFound when a record names an
+  /// unknown region and with ParseError naming both ids when two records
+  /// state one ordered pair. Two id lookups per record plus one sort.
+  Status SetRelations(std::vector<RelationRecord> relations);
 
  private:
   // Hands the computed store (if any) to a DeltaEngine so a mutation can

@@ -22,10 +22,11 @@
 // Concrete syntax (the paper's query, verbatim modulo ASCII):
 //   (a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b
 //
-// Direction atoms are evaluated against the configuration's stored relation
-// records when present (the XML's <Relation> elements) and computed on the
-// fly with Compute-CDR otherwise; topological and distance atoms are always
-// computed from the geometry (and cached per pair within one evaluation).
+// Direction atoms are evaluated against the configuration's stored relations
+// when present (the XML's <Relation> elements or a computed store) and
+// computed on the fly with Compute-CDR otherwise. Topological, distance,
+// distance() and percent() atoms are always computed from the geometry,
+// afresh each time a binding is checked; nothing is cached.
 
 #ifndef CARDIR_CARDIRECT_QUERY_H_
 #define CARDIR_CARDIRECT_QUERY_H_
@@ -132,8 +133,10 @@ struct QueryResult {
 };
 
 /// Evaluates `query` over `configuration`. Distinct variables may bind the
-/// same region, except within a direction atom (a region has no cardinal
-/// direction relation to itself).
+/// same region only when no binary atom relates them: every direction,
+/// topological, distance, distance() and percent() atom rejects a binding
+/// of both its variables to one region (a region has no cardinal direction
+/// relation to itself).
 Result<QueryResult> EvaluateQuery(const Configuration& configuration,
                                   const Query& query);
 

@@ -50,7 +50,7 @@ constexpr const char* kUsage =
     "  percent <config.xml> <primary> <ref> percentage matrix\n"
     "  related <config.xml> <ref-id> <rel>  regions related to <ref-id> by\n"
     "                                       the (disjunctive) relation,\n"
-    "                                       via the R-tree index\n"
+    "                                       computed from the geometry\n"
     "  query <config.xml> <query>           evaluate a query, e.g.\n"
     "      '(a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b'\n"
     "  validate <config.xml>                strict geometry validation\n"
@@ -368,14 +368,11 @@ int DispatchCommand(const std::vector<std::string>& args, std::ostream& out,
     if (!relation.ok()) return Fail(err, relation.status());
     Result<DirectionalIndex> index = DirectionalIndex::Build(*config);
     if (!index.ok()) return Fail(err, index.status());
-    DirectionalQueryStats stats;
     Result<std::vector<std::string>> results =
-        index->FindMatching(args[2], *relation, &stats);
+        index->FindMatching(args[2], *relation);
     if (!results.ok()) return Fail(err, results.status());
     for (const std::string& id : *results) out << id << "\n";
-    out << results->size() << " region(s); index pruned "
-        << (config->regions().size() - 1 - stats.refined) << " of "
-        << config->regions().size() - 1 << " candidates\n";
+    out << results->size() << " region(s)\n";
     return 0;
   }
   if (command == "validate" && args.size() == 2) {

@@ -386,7 +386,7 @@ Result<Configuration> ConfigurationFromXml(std::string_view xml) {
     }
     records.push_back({*primary, *reference, relation});
   }
-  configuration.SetRelations(std::move(records));
+  CARDIR_RETURN_IF_ERROR(configuration.SetRelations(std::move(records)));
   return configuration;
 }
 

@@ -1,120 +1,47 @@
 #include "index/directional_query.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/compute_cdr.h"
+#include "engine/prefilter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/logging.h"
 
 namespace cardir {
 
-Box DirectionalIndex::TileBox(Tile tile, const Box& mbb) {
-  double x0 = mbb.min_x(), x1 = mbb.max_x();
-  double y0 = mbb.min_y(), y1 = mbb.max_y();
-  switch (ColumnOf(tile)) {
-    case TileColumn::kWest: x1 = mbb.min_x(); x0 = -kUnboundedExtent; break;
-    case TileColumn::kMiddle: break;
-    case TileColumn::kEast: x0 = mbb.max_x(); x1 = kUnboundedExtent; break;
-  }
-  switch (RowOf(tile)) {
-    case TileRow::kSouth: y1 = mbb.min_y(); y0 = -kUnboundedExtent; break;
-    case TileRow::kMiddle: break;
-    case TileRow::kNorth: y0 = mbb.max_y(); y1 = kUnboundedExtent; break;
-  }
-  return Box(x0, y0, x1, y1);
-}
-
-Box DirectionalIndex::TileHull(const CardinalRelation& relation,
-                               const Box& mbb) {
-  Box hull;
-  for (Tile t : relation.Tiles()) hull.Extend(TileBox(t, mbb));
-  return hull;
-}
-
 Result<DirectionalIndex> DirectionalIndex::Build(
     const Configuration& configuration) {
-  DirectionalIndex index(configuration);
-  std::vector<std::pair<Box, int64_t>> entries;
-  entries.reserve(configuration.regions().size());
-  for (const AnnotatedRegion& region : configuration.regions()) {
-    CARDIR_RETURN_IF_ERROR(region.geometry.Validate());
-    const int64_t id = static_cast<int64_t>(index.regions_.size());
-    index.regions_.push_back(&region);
-    entries.emplace_back(region.geometry.BoundingBox(), id);
-  }
-  CARDIR_RETURN_IF_ERROR(index.tree_.BulkLoad(std::move(entries)));
-  return index;
+  return DirectionalIndex(configuration);
 }
 
 Result<std::vector<std::string>> DirectionalIndex::FindMatching(
-    const std::string& reference_id, const DisjunctiveRelation& relation,
-    DirectionalQueryStats* stats) const {
+    const std::string& reference_id,
+    const DisjunctiveRelation& relation) const {
   CARDIR_TRACE_SPAN("index.query");
   const AnnotatedRegion* reference = configuration_->FindRegion(reference_id);
   if (reference == nullptr) {
     return Status::NotFound("no region with id '" + reference_id + "'");
   }
   const Box mbb = reference->geometry.BoundingBox();
-
-  // Filter geometry: the union of per-disjunct hulls, plus per-disjunct
-  // necessary conditions applied below.
-  Box search_box;
-  std::vector<std::pair<CardinalRelation, Box>> disjunct_hulls;
-  for (const CardinalRelation& r : relation.Relations()) {
-    const Box hull = TileHull(r, mbb);
-    disjunct_hulls.emplace_back(r, hull);
-    search_box.Extend(hull);
-  }
-  DirectionalQueryStats local_stats;
+  size_t refined = 0;
   std::vector<std::string> results;
-  if (!disjunct_hulls.empty()) {
-    tree_.Search(search_box, [&](const Box& candidate_box, int64_t id) {
-      const AnnotatedRegion* candidate = regions_[static_cast<size_t>(id)];
-      if (candidate == reference) return;
-      ++local_stats.index_candidates;
-      // Necessary conditions for at least one disjunct.
-      bool plausible = false;
-      for (const auto& [r, hull] : disjunct_hulls) {
-        if (!hull.Contains(candidate_box)) continue;
-        bool hits_all_tiles = true;
-        for (Tile t : r.Tiles()) {
-          if (!candidate_box.Intersects(TileBox(t, mbb))) {
-            hits_all_tiles = false;
-            break;
-          }
-        }
-        if (hits_all_tiles) {
-          plausible = true;
-          break;
-        }
-      }
-      if (!plausible) return;
-      ++local_stats.refined;
-      auto actual = ComputeCdr(candidate->geometry, reference->geometry);
-      CARDIR_CHECK(actual.ok()) << actual.status();  // Validated at Build().
-      if (relation.Contains(*actual)) {
-        results.push_back(candidate->id);
-      }
-    });
+  for (const AnnotatedRegion& candidate : configuration_->regions()) {
+    if (&candidate == reference) continue;
+    std::optional<CardinalRelation> actual =
+        MbbPrefilterRelation(candidate.geometry.BoundingBox(), mbb);
+    if (!actual.has_value()) {
+      ++refined;
+      CARDIR_ASSIGN_OR_RETURN(
+          actual, ComputeCdr(candidate.geometry, reference->geometry));
+    }
+    if (relation.Contains(*actual)) results.push_back(candidate.id);
   }
   std::sort(results.begin(), results.end());
-  local_stats.results = results.size();
   CARDIR_METRIC_COUNT("index.queries", 1);
-  CARDIR_METRIC_COUNT("index.query.candidates", local_stats.index_candidates);
-  CARDIR_METRIC_COUNT("index.query.refined", local_stats.refined);
-  CARDIR_METRIC_COUNT("index.query.results", local_stats.results);
-  if (stats != nullptr) *stats = local_stats;
+  CARDIR_METRIC_COUNT("index.query.refined", refined);
+  CARDIR_METRIC_COUNT("index.query.results", results.size());
   return results;
-}
-
-Result<std::vector<std::string>> DirectionalIndex::FindExact(
-    const std::string& reference_id, const CardinalRelation& relation,
-    DirectionalQueryStats* stats) const {
-  if (relation.IsEmpty()) {
-    return Status::InvalidArgument("empty relation");
-  }
-  return FindMatching(reference_id, DisjunctiveRelation(relation), stats);
 }
 
 }  // namespace cardir

@@ -1,16 +1,14 @@
-// Filter-and-refine directional query processing over a CARDIRECT
-// configuration, in the style of the MBR/R-tree study of ref [13]:
+// Directional queries over a CARDIRECT configuration: the query primitive
+// "find all regions a with a R b" for a reference region b and a
+// (disjunctive) relation R.
 //
-//   filter  — an R-tree over the regions' bounding boxes prunes candidates
-//             with two necessary MBB conditions derived from the requested
-//             relation R w.r.t. the reference region b:
-//               (1) mbb(a) ⊆ hull(tiles of R)  (a lies in the tiles of R),
-//               (2) mbb(a) intersects every tile of R (a has a part there);
-//   refine  — survivors run the exact Compute-CDR and are kept when their
-//             relation matches.
-//
-// Answers the CARDIRECT query primitive "find all regions related to b by
-// R" without the nested loop over all pairs.
+// One pass over the configuration's regions answers it. For each candidate
+// a, the box classification MbbPrefilterRelation(mbb(a), mbb(b))
+// (engine/prefilter.h) yields the relation whenever mbb(a) lies in a single
+// closed tile of b. Only the pairs the boxes cannot decide run the exact
+// Compute-CDR. The box rule is the per-pair semantics reference the sweep
+// engine's interval kernel is checked against, so the answer equals a
+// brute-force Compute-CDR scan.
 
 #ifndef CARDIR_INDEX_DIRECTIONAL_QUERY_H_
 #define CARDIR_INDEX_DIRECTIONAL_QUERY_H_
@@ -19,59 +17,32 @@
 #include <vector>
 
 #include "cardirect/model.h"
-#include "core/cardinal_relation.h"
-#include "index/rtree.h"
 #include "reasoning/disjunctive_relation.h"
 
 namespace cardir {
 
-/// Instrumentation of one query: how much the index pruned.
-struct DirectionalQueryStats {
-  size_t index_candidates = 0;  ///< Entries returned by the R-tree search.
-  size_t refined = 0;           ///< Candidates that ran Compute-CDR.
-  size_t results = 0;
-};
-
-/// An R-tree-backed directional query engine over one configuration. The
-/// configuration must outlive the index; rebuild after mutations.
+/// A directional query engine over one configuration. It answers from the
+/// geometry, not from stored relations. The configuration must outlive the
+/// engine; queries see its current regions.
 class DirectionalIndex {
  public:
-  /// Indexes every region's bounding box. Fails when the configuration has
-  /// invalid regions.
+  /// Binds the configuration; builds nothing and never fails.
   static Result<DirectionalIndex> Build(const Configuration& configuration);
 
-  /// Ids of all regions a (≠ reference) with `a R reference` exactly.
-  Result<std::vector<std::string>> FindExact(
-      const std::string& reference_id, const CardinalRelation& relation,
-      DirectionalQueryStats* stats = nullptr) const;
-
-  /// Ids of all regions whose relation to the reference is a member of the
-  /// disjunction.
+  /// Ids, sorted, of all regions a (≠ reference) whose relation
+  /// `a R reference` is a member of the disjunction. NotFound for an
+  /// unknown reference id; Compute-CDR's error for a pair it rejects.
+  /// Counts `index.query.refined` (pairs that ran Compute-CDR) and
+  /// `index.query.results`.
   Result<std::vector<std::string>> FindMatching(
-      const std::string& reference_id, const DisjunctiveRelation& relation,
-      DirectionalQueryStats* stats = nullptr) const;
-
-  size_t size() const { return tree_.size(); }
-
-  /// The necessary-condition boxes for relation `relation` against a
-  /// reference mbb: the hull of the relation's tiles and the per-tile
-  /// boxes. Exposed for tests. Unbounded tile sides are clamped to
-  /// ±kUnboundedExtent.
-  static Box TileHull(const CardinalRelation& relation, const Box& mbb);
-  static Box TileBox(Tile tile, const Box& mbb);
-
-  /// Coordinate used to represent the unbounded side of a peripheral tile.
-  static constexpr double kUnboundedExtent = 1e30;
+      const std::string& reference_id,
+      const DisjunctiveRelation& relation) const;
 
  private:
   explicit DirectionalIndex(const Configuration& configuration)
       : configuration_(&configuration) {}
 
   const Configuration* configuration_;
-  RTree tree_;
-  /// R-tree id -> region (pointers into the configuration; stable because
-  /// the configuration must not be mutated while the index lives).
-  std::vector<const AnnotatedRegion*> regions_;
 };
 
 }  // namespace cardir

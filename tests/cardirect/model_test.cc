@@ -97,6 +97,29 @@ TEST(ConfigurationTest, RemoveRegionDropsItsRelations) {
   EXPECT_EQ(config.RemoveRegion("b").code(), StatusCode::kNotFound);
 }
 
+TEST(ConfigurationTest, SetRelationsRejectsUnknownIdsAndRepeatedPairs) {
+  Configuration config;
+  ASSERT_TRUE(config.AddRegion(MakeRegion("a", "red", 0, 0, 10, 10)).ok());
+  ASSERT_TRUE(config.AddRegion(MakeRegion("b", "blue", 0, 20, 10, 30)).ok());
+  ASSERT_TRUE(config.ComputeAllRelations().ok());
+  const CardinalRelation s = *CardinalRelation::Parse("S");
+  const CardinalRelation n = *CardinalRelation::Parse("N");
+  EXPECT_EQ(config.SetRelations({{"a", "ghost", s}}).code(),
+            StatusCode::kNotFound);
+  const Status repeated =
+      config.SetRelations({{"a", "b", s}, {"b", "a", n}, {"a", "b", n}});
+  EXPECT_EQ(repeated.code(), StatusCode::kParseError);
+  EXPECT_NE(repeated.message().find("'a'"), std::string::npos) << repeated;
+  EXPECT_NE(repeated.message().find("'b'"), std::string::npos) << repeated;
+  // A failed call changes nothing.
+  EXPECT_NE(config.relation_store(), nullptr);
+  ASSERT_TRUE(config.SetRelations({{"b", "a", n}, {"a", "b", s}}).ok());
+  EXPECT_EQ(config.relation_store(), nullptr);
+  ASSERT_EQ(config.relations().size(), 2u);
+  EXPECT_EQ(config.relations()[0].primary_id, "b");  // The given order.
+  EXPECT_EQ(config.StoredRelation("a", "b"), s);
+}
+
 // After any delta-maintained mutation the configuration must answer
 // StoredRelation / relation_count / ForEachRelation exactly as a copy that
 // recomputes from scratch would.

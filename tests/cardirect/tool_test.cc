@@ -141,12 +141,13 @@ TEST_F(ToolTest, WktImportExportRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST_F(ToolTest, RelatedUsesTheIndex) {
+TEST_F(ToolTest, RelatedListsMatchingRegions) {
   // demo config: forest is north-west-ish of the lake.
   const ToolRun run = RunTool({"related", path_, "lake", "{NW, W:NW, NW:N}"});
   EXPECT_EQ(run.exit_code, 0) << run.err;
   EXPECT_NE(run.out.find("forest"), std::string::npos);
   EXPECT_NE(run.out.find("region(s)"), std::string::npos);
+  EXPECT_EQ(run.out, "forest\n1 region(s)\n");
   EXPECT_EQ(RunTool({"related", path_, "ghost", "N"}).exit_code, 1);
   EXPECT_EQ(RunTool({"related", path_, "lake", "QQ"}).exit_code, 1);
 }

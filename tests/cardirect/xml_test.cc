@@ -189,6 +189,37 @@ TEST(ConfigurationXmlTest, RejectsBadConfigurations) {
   EXPECT_EQ(self.status().code(), StatusCode::kParseError);
   EXPECT_NE(self.status().message().find("'r'"), std::string::npos)
       << self.status();
+  // Two records for one ordered pair, next to each other or apart: the
+  // first must not silently win.
+  const std::string region_s =
+      "<Region id=\"s\"><Polygon id=\"q\"><Edge x=\"5\" y=\"5\"/>"
+      "<Edge x=\"5\" y=\"6\"/><Edge x=\"6\" y=\"5\"/></Polygon></Region>";
+  for (const std::string& between :
+       {std::string(), std::string("<Relation type=\"NE\" primary=\"s\" "
+                                   "reference=\"r\"/>")}) {
+    const auto duplicate = ConfigurationFromXml(
+        "<Image>" + region_r + region_s +
+        "<Relation type=\"W\" primary=\"r\" reference=\"s\"/>" + between +
+        "<Relation type=\"N\" primary=\"r\" reference=\"s\"/></Image>");
+    EXPECT_EQ(duplicate.status().code(), StatusCode::kParseError);
+    EXPECT_NE(duplicate.status().message().find("'r'"), std::string::npos)
+        << duplicate.status();
+    EXPECT_NE(duplicate.status().message().find("'s'"), std::string::npos)
+        << duplicate.status();
+  }
+  // Distinct ordered pairs load, also both directions of one pair and
+  // pairs sharing a primary or a reference.
+  const std::string region_t =
+      "<Region id=\"t\"><Polygon id=\"u\"><Edge x=\"10\" y=\"0\"/>"
+      "<Edge x=\"10\" y=\"1\"/><Edge x=\"11\" y=\"0\"/></Polygon></Region>";
+  EXPECT_TRUE(ConfigurationFromXml(
+                  "<Image>" + region_r + region_s + region_t +
+                  "<Relation type=\"SW\" primary=\"r\" reference=\"s\"/>"
+                  "<Relation type=\"NE\" primary=\"s\" reference=\"r\"/>"
+                  "<Relation type=\"SE\" primary=\"t\" reference=\"s\"/>"
+                  "<Relation type=\"W\" primary=\"r\" reference=\"t\"/>"
+                  "</Image>")
+                  .ok());
 }
 
 TEST(ConfigurationXmlTest, SaveAndLoadFiles) {
