@@ -116,8 +116,10 @@ class Configuration {
   /// Removes the region with `id` and every stored relation touching it.
   /// On a computed configuration the store is delta-maintained
   /// (DeltaEngine::Remove); all other pairs keep their stored relations.
-  /// O(n) besides the store update: every region after the removed one
-  /// shifts down one position, and the id index renumbers with it.
+  /// O(n) memmove-class work: every region after the removed one shifts
+  /// down one position and the id index renumbers with it; the delta
+  /// engine re-resolves nothing, and splices and renumbers its per-region
+  /// arrays, interval indexes and store in place (no re-sort, no rehash).
   Status RemoveRegion(const std::string& id);
 
   /// Appends one more polygon to an existing region (regions in REG* are

@@ -1,5 +1,6 @@
 #include "engine/delta_engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <mutex>
@@ -145,6 +146,80 @@ void DeltaEngine::SetDegenerate(size_t id, bool degenerate) {
   }
 }
 
+void DeltaEngine::SampleColumn(size_t id) {
+  DeltaScratch& ws = scratch_;
+  ws.column.assign(ws.affected.size(), ColumnEdit{});
+  // A new column postdates every base row: nothing was explicit against it.
+  if (id >= regions_.size()) return;
+  const RegionProfile& profile = store_.profile_;
+  for (size_t k = 0; k < ws.affected.size(); ++k) {
+    const uint8_t code = ClassPairCode(profile, ws.affected[k], id);
+    ws.column[k].was_explicit = RelationStore::ResolvableCode(code) ? 0 : 1;
+  }
+}
+
+void DeltaEngine::ResolveDirty(size_t id, DeltaResult* result) {
+  CARDIR_TRACE_SPAN("delta.resolve");
+  DeltaScratch& ws = scratch_;
+  const RegionProfile& profile = store_.profile_;
+  CdrMetricsDelta cdr_metrics;
+  ws.cols.clear();
+  ws.masks.clear();
+  result->touched.reserve(ws.affected.size() * 2);
+  for (size_t k = 0; k < ws.affected.size(); ++k) {
+    const uint32_t j = ws.affected[k];
+    const uint8_t code_ij = ClassPairCode(profile, id, j);
+    if (!RelationStore::ResolvableCode(code_ij)) {
+      ws.cols.push_back(j);
+      ws.masks.push_back(ResolveExplicitMask(code_ij, regions_[id], boxes_[j],
+                                             profile, id, j, poly_,
+                                             &cdr_metrics, &ws.cdr));
+      ++result->pairs_reresolved;
+    } else {
+      ++result->pairs_implicit;
+    }
+    const uint8_t code_ji = ClassPairCode(profile, j, id);
+    if (!RelationStore::ResolvableCode(code_ji)) {
+      ws.column[k].now_explicit = 1;
+      ws.column[k].mask =
+          ResolveExplicitMask(code_ji, regions_[j], boxes_[id], profile, j,
+                              id, poly_, &cdr_metrics, &ws.cdr);
+      ++result->pairs_reresolved;
+    } else {
+      ++result->pairs_implicit;
+    }
+    result->touched.emplace_back(static_cast<uint32_t>(id), j);
+    result->touched.emplace_back(j, static_cast<uint32_t>(id));
+  }
+  cdr_metrics.FlushToRegistry();
+}
+
+void DeltaEngine::PatchColumn(size_t id) {
+  const DeltaScratch& ws = scratch_;
+  for (size_t k = 0; k < ws.affected.size(); ++k) {
+    const ColumnEdit& column = ws.column[k];
+    if (column.was_explicit != 0 || column.now_explicit != 0) {
+      store_.PatchPair(ws.affected[k], id, column.was_explicit != 0,
+                       column.now_explicit != 0, column.mask);
+    }
+  }
+}
+
+void DeltaEngine::PatchDirty(size_t id) {
+  CARDIR_TRACE_SPAN("delta.patch");
+  PatchColumn(id);
+  store_.ReplaceRow(id, scratch_.cols, scratch_.masks);
+  for (const uint32_t j : scratch_.affected) store_.MaybeCompactRow(j);
+  store_.RechargeMem();
+}
+
+void DeltaEngine::PublishIndexHealth() const {
+  CARDIR_METRIC_GAUGE_SET("delta.index.pending",
+                          std::max(x_index_.pending(), y_index_.pending()));
+  CARDIR_METRIC_GAUGE_SET("delta.index.rebuild_threshold",
+                          x_index_.rebuild_threshold());
+}
+
 Result<DeltaResult> DeltaEngine::Insert(Region region) {
   const std::lock_guard<std::mutex> lock(mu_);
   const uint64_t start_us = obs::TraceNowMicros();
@@ -154,11 +229,14 @@ Result<DeltaResult> DeltaEngine::Insert(Region region) {
   const Box box = region.BoundingBox();
   const bool degenerate = box.IsEmpty() || box.IsDegenerate();
 
-  // Dirty set: candidates of the new box only — the column postdates every
-  // base row, so nothing was explicit against it before.
-  GatherAffected(id, degenerate, /*use_old=*/false, 0.0, 0.0, 0.0, 0.0,
-                 /*use_new=*/true, box);
-  DeltaScratch& ws = scratch_;
+  {
+    // Dirty set: candidates of the new box only — the column postdates
+    // every base row, so nothing was explicit against it before.
+    CARDIR_TRACE_SPAN("delta.gather");
+    GatherAffected(id, degenerate, /*use_old=*/false, 0.0, 0.0, 0.0, 0.0,
+                   /*use_new=*/true, box);
+    SampleColumn(id);
+  }
 
   store_.AppendRegion(box);
   boxes_.push_back(box);
@@ -169,49 +247,14 @@ Result<DeltaResult> DeltaEngine::Insert(Region region) {
   if (degenerate) degenerate_ids_.push_back(static_cast<uint32_t>(id));
 
   DeltaResult result;
-  result.touched.reserve(ws.affected.size() * 2);
-  const RegionProfile& profile = store_.profile_;
-  CdrMetricsDelta cdr_metrics;
-  ws.cols.clear();
-  ws.masks.clear();
-  size_t reresolved = 0;
-  size_t implicit = 0;
-  for (const uint32_t j : ws.affected) {
-    const uint8_t code_ij = ClassPairCode(profile, id, j);
-    if (!RelationStore::ResolvableCode(code_ij)) {
-      ws.cols.push_back(j);
-      ws.masks.push_back(ResolveExplicitMask(code_ij, regions_[id], boxes_[j],
-                                             profile, id, j, poly_,
-                                             &cdr_metrics, &ws.cdr));
-      ++reresolved;
-    } else {
-      ++implicit;
-    }
-    const uint8_t code_ji = ClassPairCode(profile, j, id);
-    if (!RelationStore::ResolvableCode(code_ji)) {
-      const uint16_t mask =
-          ResolveExplicitMask(code_ji, regions_[j], box, profile, j, id, poly_,
-                              &cdr_metrics, &ws.cdr);
-      store_.PatchPair(j, id, /*was_explicit=*/false, /*now_explicit=*/true,
-                       mask);
-      ++reresolved;
-    } else {
-      ++implicit;
-    }
-    result.touched.emplace_back(static_cast<uint32_t>(id), j);
-    result.touched.emplace_back(j, static_cast<uint32_t>(id));
-  }
-  store_.ReplaceRow(id, ws.cols, ws.masks);
-  for (const uint32_t j : ws.affected) store_.MaybeCompactRow(j);
-  cdr_metrics.FlushToRegistry();
-  store_.RechargeMem();
+  ResolveDirty(id, &result);
+  PatchDirty(id);
   RechargeAux();
+  PublishIndexHealth();
 
-  result.pairs_reresolved = reresolved;
-  result.pairs_implicit = implicit;
   result.apply_us = obs::TraceNowMicros() - start_us;
-  CARDIR_METRIC_COUNT("delta.pairs_reresolved", reresolved);
-  CARDIR_METRIC_COUNT("delta.pairs_implicit", implicit);
+  CARDIR_METRIC_COUNT("delta.pairs_reresolved", result.pairs_reresolved);
+  CARDIR_METRIC_COUNT("delta.pairs_implicit", result.pairs_implicit);
   CARDIR_METRIC_OBSERVE("delta.apply_us", result.apply_us);
   CARDIR_RECORD_EVENT(kDelta, "delta.insert", id, result.touched.size());
   return result;
@@ -227,27 +270,18 @@ Result<DeltaResult> DeltaEngine::Move(size_t id, Region geometry) {
   if (!valid.ok()) return valid;
 
   const RegionProfile& profile = store_.profile_;
-  const double old_lo_x = profile.min_x[id];
-  const double old_hi_x = profile.max_x[id];
-  const double old_lo_y = profile.min_y[id];
-  const double old_hi_y = profile.max_y[id];
-  const bool old_degenerate = profile.cross_override[id] != 0;
   const Box new_box = geometry.BoundingBox();
   const bool new_degenerate = new_box.IsEmpty() || new_box.IsDegenerate();
-
-  GatherAffected(id, old_degenerate || new_degenerate,
-                 /*use_old=*/true, old_lo_x, old_hi_x, old_lo_y, old_hi_y,
-                 /*use_new=*/true, new_box);
-  DeltaScratch& ws = scratch_;
-
-  // (j, id) explicitness must be sampled before the profile moves: it is
-  // the `was_explicit` PatchPair needs to know whether the base row still
-  // carries a slot for the column.
-  ws.was_explicit.clear();
-  ws.was_explicit.reserve(ws.affected.size());
-  for (const uint32_t j : ws.affected) {
-    ws.was_explicit.push_back(static_cast<uint8_t>(
-        RelationStore::ResolvableCode(ClassPairCode(profile, j, id)) ? 0 : 1));
+  {
+    CARDIR_TRACE_SPAN("delta.gather");
+    GatherAffected(id, profile.cross_override[id] != 0 || new_degenerate,
+                   /*use_old=*/true, profile.min_x[id], profile.max_x[id],
+                   profile.min_y[id], profile.max_y[id], /*use_new=*/true,
+                   new_box);
+    // (j, id) explicitness must be sampled before the profile moves: it is
+    // the `was_explicit` PatchPair needs to know whether the base row
+    // still carries a slot for the column.
+    SampleColumn(id);
   }
 
   store_.SetRegionBox(id, new_box);
@@ -261,50 +295,14 @@ Result<DeltaResult> DeltaEngine::Move(size_t id, Region geometry) {
   // Re-resolve the dirty pairs against the updated profile: row id is
   // rewritten wholesale, column id patched in every affected row.
   DeltaResult result;
-  result.touched.reserve(ws.affected.size() * 2);
-  CdrMetricsDelta cdr_metrics;
-  ws.cols.clear();
-  ws.masks.clear();
-  size_t reresolved = 0;
-  size_t implicit = 0;
-  for (size_t k = 0; k < ws.affected.size(); ++k) {
-    const uint32_t j = ws.affected[k];
-    const uint8_t code_ij = ClassPairCode(profile, id, j);
-    if (!RelationStore::ResolvableCode(code_ij)) {
-      ws.cols.push_back(j);
-      ws.masks.push_back(ResolveExplicitMask(code_ij, regions_[id], boxes_[j],
-                                             profile, id, j, poly_,
-                                             &cdr_metrics, &ws.cdr));
-      ++reresolved;
-    } else {
-      ++implicit;
-    }
-    const uint8_t code_ji = ClassPairCode(profile, j, id);
-    const bool was = ws.was_explicit[k] != 0;
-    if (!RelationStore::ResolvableCode(code_ji)) {
-      const uint16_t mask =
-          ResolveExplicitMask(code_ji, regions_[j], new_box, profile, j, id,
-                              poly_, &cdr_metrics, &ws.cdr);
-      store_.PatchPair(j, id, was, /*now_explicit=*/true, mask);
-      ++reresolved;
-    } else {
-      if (was) store_.PatchPair(j, id, was, /*now_explicit=*/false, 0);
-      ++implicit;
-    }
-    result.touched.emplace_back(static_cast<uint32_t>(id), j);
-    result.touched.emplace_back(j, static_cast<uint32_t>(id));
-  }
-  store_.ReplaceRow(id, ws.cols, ws.masks);
-  for (const uint32_t j : ws.affected) store_.MaybeCompactRow(j);
-  cdr_metrics.FlushToRegistry();
-  store_.RechargeMem();
+  ResolveDirty(id, &result);
+  PatchDirty(id);
   RechargeAux();
+  PublishIndexHealth();
 
-  result.pairs_reresolved = reresolved;
-  result.pairs_implicit = implicit;
   result.apply_us = obs::TraceNowMicros() - start_us;
-  CARDIR_METRIC_COUNT("delta.pairs_reresolved", reresolved);
-  CARDIR_METRIC_COUNT("delta.pairs_implicit", implicit);
+  CARDIR_METRIC_COUNT("delta.pairs_reresolved", result.pairs_reresolved);
+  CARDIR_METRIC_COUNT("delta.pairs_implicit", result.pairs_implicit);
   CARDIR_METRIC_OBSERVE("delta.apply_us", result.apply_us);
   CARDIR_RECORD_EVENT(kDelta, "delta.move", id, result.touched.size());
   return result;
@@ -317,29 +315,15 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
     return Status::InvalidArgument("Remove: region id out of range");
   }
   const RegionProfile& profile = store_.profile_;
-  const bool degenerate = profile.cross_override[id] != 0;
-  GatherAffected(id, degenerate, /*use_old=*/true, profile.min_x[id],
-                 profile.max_x[id], profile.min_y[id], profile.max_y[id],
-                 /*use_new=*/false, Box());
-  DeltaScratch& ws = scratch_;
-
-  // EraseRegion's precondition: every explicit (j, id) patched implicit
-  // first, so the base slots of column id are on record and convert to
-  // ghosts. The dirty set is exactly those pairs (completeness bound).
-  DeltaResult result;
-  result.touched.reserve(ws.affected.size() * 2);
-  for (const uint32_t j : ws.affected) {
-    if (!RelationStore::ResolvableCode(ClassPairCode(profile, j, id))) {
-      store_.PatchPair(j, id, /*was_explicit=*/true, /*now_explicit=*/false,
-                       0);
-    }
-    result.touched.emplace_back(static_cast<uint32_t>(id), j);
-    result.touched.emplace_back(j, static_cast<uint32_t>(id));
+  {
+    CARDIR_TRACE_SPAN("delta.gather");
+    GatherAffected(id, profile.cross_override[id] != 0, /*use_old=*/true,
+                   profile.min_x[id], profile.max_x[id], profile.min_y[id],
+                   profile.max_y[id], /*use_new=*/false, Box());
+    SampleColumn(id);
   }
-  store_.EraseRegion(id);
-  regions_.erase(regions_.begin() + static_cast<ptrdiff_t>(id));
-  boxes_.erase(boxes_.begin() + static_cast<ptrdiff_t>(id));
-  poly_.EraseRegion(id);
+  const DeltaScratch& ws = scratch_;
+
   x_index_.Remove(id);
   y_index_.Remove(id);
   SetDegenerate(id, false);
@@ -349,11 +333,30 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
        it != degenerate_ids_.end(); ++it) {
     --*it;  // Ids above the erased one renumber down.
   }
+
+  DeltaResult result;
+  result.touched.reserve(ws.affected.size() * 2);
   for (const uint32_t j : ws.affected) {
-    store_.MaybeCompactRow(j > id ? j - 1 : j);
+    result.touched.emplace_back(static_cast<uint32_t>(id), j);
+    result.touched.emplace_back(j, static_cast<uint32_t>(id));
   }
-  store_.RechargeMem();
+  {
+    // EraseRegion's precondition: every explicit (j, id) patched implicit
+    // first, so the base slots of column id are on record and convert to
+    // ghosts. The dirty set is exactly those pairs (completeness bound).
+    CARDIR_TRACE_SPAN("delta.patch");
+    PatchColumn(id);
+    store_.EraseRegion(id);
+    regions_.erase(regions_.begin() + static_cast<ptrdiff_t>(id));
+    boxes_.erase(boxes_.begin() + static_cast<ptrdiff_t>(id));
+    poly_.EraseRegion(id);
+    for (const uint32_t j : ws.affected) {
+      store_.MaybeCompactRow(j > id ? j - 1 : j);
+    }
+    store_.RechargeMem();
+  }
   RechargeAux();
+  PublishIndexHealth();
 
   // Every dirty pair ends non-explicit (deleted with the region).
   result.pairs_implicit = result.touched.size();

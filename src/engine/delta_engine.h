@@ -62,6 +62,14 @@ struct DeltaResult {
   uint64_t apply_us = 0;        ///< Wall time of the apply, microseconds.
 };
 
+/// The mutated column's pair (j, k) for one dirty partner j: explicit
+/// before / after the profile change, and its mask when explicit after.
+struct ColumnEdit {
+  uint8_t was_explicit = 0;
+  uint8_t now_explicit = 0;
+  uint16_t mask = 0;
+};
+
 /// Per-engine working memory of the delta apply: the candidate bitset, the
 /// Compute-CDR scratch arena and the reusable gather/emit vectors. Guarded
 /// by the engine's mutex; escapes into cross-thread lambdas are forbidden
@@ -69,14 +77,14 @@ struct DeltaResult {
 struct DeltaScratch {
   CandidateBitset bits;
   CdrScratch cdr;
-  std::vector<uint32_t> affected;     // Dirty partner ids, ascending.
-  std::vector<uint8_t> was_explicit;  // (j, k) explicit before, per partner.
-  std::vector<uint32_t> cols;         // Rewritten row: explicit columns…
-  std::vector<uint16_t> masks;        // …and their masks.
+  std::vector<uint32_t> affected;   // Dirty partner ids, ascending.
+  std::vector<ColumnEdit> column;   // Column pair (j, k), per partner.
+  std::vector<uint32_t> cols;       // Rewritten row: explicit columns…
+  std::vector<uint16_t> masks;      // …and their masks.
 
   size_t bytes() const {
     return bits.bytes() + affected.capacity() * sizeof(uint32_t) +
-           was_explicit.capacity() * sizeof(uint8_t) +
+           column.capacity() * sizeof(ColumnEdit) +
            cols.capacity() * sizeof(uint32_t) +
            masks.capacity() * sizeof(uint16_t);
   }
@@ -137,6 +145,19 @@ class DeltaEngine {
   void GatherAffected(size_t id, bool all_rows, bool use_old, double old_lo_x,
                       double old_hi_x, double old_lo_y, double old_hi_y,
                       bool use_new, const Box& new_box);
+  // The stages of one mutation, over the dirty partners in
+  // scratch_.affected. SampleColumn records (j, id) explicitness before the
+  // profile changes; ResolveDirty re-resolves row id and column id against
+  // the updated profile (span delta.resolve); PatchColumn applies column
+  // id's changed pairs; PatchDirty also rewrites row id and compacts
+  // (span delta.patch).
+  void SampleColumn(size_t id);
+  void ResolveDirty(size_t id, DeltaResult* result);
+  void PatchColumn(size_t id);
+  void PatchDirty(size_t id);
+  // Index-health gauges: delta.index.pending (the larger axis's dead +
+  // overflow entries) and delta.index.rebuild_threshold.
+  void PublishIndexHealth() const;
   void SetDegenerate(size_t id, bool degenerate);
   void RechargeAux();
   size_t aux_bytes() const;

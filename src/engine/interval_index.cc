@@ -1,5 +1,8 @@
 #include "engine/interval_index.h"
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
+
 namespace cardir {
 
 namespace {
@@ -47,7 +50,10 @@ void IntervalOverlapIndex::Rebuild() {
 }
 
 void IntervalOverlapIndex::RebuildIfStale() {
-  if (dead_ + overflow_ids_.size() > std::max(kBlock, size() / 8)) Rebuild();
+  if (pending() <= rebuild_threshold()) return;
+  CARDIR_TRACE_SPAN("delta.index_rebuild");
+  CARDIR_METRIC_COUNT("delta.index.rebuilds", 1);
+  Rebuild();
 }
 
 void IntervalOverlapIndex::RemoveOverflowAt(size_t slot) {
@@ -110,13 +116,27 @@ void IntervalOverlapIndex::Append(double lo, double hi, bool skip) {
 }
 
 void IntervalOverlapIndex::Remove(size_t id) {
-  cur_lo_.erase(cur_lo_.begin() + static_cast<ptrdiff_t>(id));
-  cur_hi_.erase(cur_hi_.begin() + static_cast<ptrdiff_t>(id));
-  cur_skip_.erase(cur_skip_.begin() + static_cast<ptrdiff_t>(id));
-  // Every id above the erased one renumbers; a full rebuild is the simple
-  // way to keep the sorted arrays, summaries and position map coherent, and
-  // region removal is already O(n + overlay) at the store layer.
-  Rebuild();
+  // Retire the entry under the old numbering first (RemoveOverflowAt
+  // rewrites pos_ of the slot it moves).
+  const uint64_t pos = pos_[id];
+  if (pos != kAbsent && (pos & kOverflowTag) == 0) {
+    hi_[static_cast<size_t>(pos)] = kNegInf;
+    ++dead_;
+  } else if (pos != kAbsent) {
+    RemoveOverflowAt(static_cast<size_t>(pos & ~kOverflowTag));
+  }
+  const ptrdiff_t at = static_cast<ptrdiff_t>(id);
+  cur_lo_.erase(cur_lo_.begin() + at);
+  cur_hi_.erase(cur_hi_.begin() + at);
+  cur_skip_.erase(cur_skip_.begin() + at);
+  pos_.erase(pos_.begin() + at);
+  // Renumber: every id above the erased one moves down by one. The map is
+  // monotone, so the (lo, id) order of the main arrays stays sorted and no
+  // re-sort is needed. A tombstone's stale id is never reported.
+  const uint32_t id32 = static_cast<uint32_t>(id);
+  for (uint32_t& other : ids_) other -= other > id32 ? 1u : 0u;
+  for (uint32_t& other : overflow_ids_) other -= other > id32 ? 1u : 0u;
+  RebuildIfStale();
 }
 
 void PolygonBoxes::Build(const std::vector<const Region*>& regions) {

@@ -53,7 +53,11 @@ namespace cardir {
 /// only when its recorded max end fails the query, which the true max then
 /// fails too), the live interval goes to an overflow buffer scanned
 /// linearly per query, and the whole index rebuilds from its authoritative
-/// per-id state once dead + overflow entries exceed max(64, size/8).
+/// per-id state once dead + overflow entries exceed rebuild_threshold() =
+/// max(64, size/8). Remove renumbers the ids above the erased one in place:
+/// the renumbering is monotone, so the sorted order survives it. Only the
+/// delta engine mutates an index, so a mutation-triggered rebuild records
+/// the span delta.index_rebuild and counts delta.index.rebuilds.
 class IntervalOverlapIndex {
  public:
   static constexpr size_t kBlock = 64;           // Entries per block.
@@ -72,15 +76,20 @@ class IntervalOverlapIndex {
   void Append(double lo, double hi, bool skip);
 
   /// Erases entry `id` and renumbers every id above it down by one — the
-  /// contract of RelationStore::EraseRegion. O(size log size) (rebuild).
+  /// contract of RelationStore::EraseRegion. O(size) memmove-class work (the
+  /// per-id arrays shift, one pass renumbers the sorted ids) + the deferred
+  /// rebuild share.
   void Remove(size_t id);
 
   /// Ids covered (including skipped/tombstoned ones).
   size_t size() const { return cur_lo_.size(); }
 
-  /// Tombstoned + overflow entries awaiting the amortized rebuild (test
-  /// hook: reaches 0 right after a rebuild).
+  /// Tombstoned + overflow entries awaiting the amortized rebuild (reaches
+  /// 0 right after a rebuild).
   size_t pending() const { return dead_ + overflow_ids_.size(); }
+
+  /// The mutation that lifts pending() above this re-sorts the index.
+  size_t rebuild_threshold() const { return std::max(kBlock, size() / 8); }
 
   size_t bytes() const {
     return (ids_.capacity() + overflow_ids_.capacity()) * sizeof(uint32_t) +
@@ -182,7 +191,7 @@ class CandidateBitset {
 /// replacing a region with the same polygon count overwrites in place,
 /// otherwise the arrays are spliced.
 struct PolygonBoxes {
-  std::vector<uint64_t> offsets;  // regions + 1 entries.
+  std::vector<uint64_t> offsets = {0};  // regions + 1 entries.
   std::vector<double> min_x, max_x, min_y, max_y;
 
   void Build(const std::vector<const Region*>& regions);

@@ -1,25 +1,25 @@
 #include "engine/relation_store.h"
 
+#include "audit/audit.h"
+
 namespace cardir {
 
 CardinalRelation RelationStore::Relation(size_t primary,
                                          size_t reference) const {
   if (primary == reference) return CardinalRelation();
-  if (!loose_.empty()) {
-    const auto it = loose_.find(static_cast<uint32_t>(primary));
-    if (it != loose_.end()) {
-      const LooseRow& row = it->second;
-      const auto pos = std::lower_bound(row.cols.begin(), row.cols.end(),
-                                        static_cast<uint32_t>(reference));
-      if (pos != row.cols.end() && *pos == reference) {
-        return CardinalRelation::FromMask(
-            row.masks[static_cast<size_t>(pos - row.cols.begin())]);
-      }
-      return (*relations_)[ClassPairCode(profile_, primary, reference)];
+  const RowEdit* edit = FindEdit(primary);
+  if (edit != nullptr && edit->loose) {
+    const auto pos = std::lower_bound(edit->cols.begin(), edit->cols.end(),
+                                      static_cast<uint32_t>(reference));
+    if (pos != edit->cols.end() && *pos == reference) {
+      return CardinalRelation::FromMask(
+          edit->masks[static_cast<size_t>(pos - edit->cols.begin())]);
     }
+    return (*relations_)[ClassPairCode(profile_, primary, reference)];
   }
   const uint8_t code = ClassPairCode(profile_, primary, reference);
-  const std::vector<RowPatch>* patches = FindPatches(primary);
+  const std::vector<RowPatch>* patches =
+      edit != nullptr ? &edit->patches : nullptr;
   if (patches != nullptr) {
     auto pos = std::lower_bound(
         patches->begin(), patches->end(), static_cast<uint32_t>(reference),
@@ -95,81 +95,95 @@ void RelationStore::AppendRegion(const Box& box) {
   profile_.cross_override.push_back(
       (box.IsEmpty() || box.IsDegenerate()) ? 0x0f : 0x00);
   row_offsets_.push_back(row_offsets_.back());
+  if (!edit_slot_.empty()) edit_slot_.push_back(kNoEdit);
+}
+
+RelationStore::RowEdit& RelationStore::EditFor(size_t row) {
+  if (edit_slot_.empty()) edit_slot_.assign(regions(), kNoEdit);
+  uint32_t& slot = edit_slot_[row];
+  if (slot == kNoEdit) {
+    slot = static_cast<uint32_t>(edits_.size());
+    edits_.emplace_back().row = static_cast<uint32_t>(row);
+  }
+  return edits_[slot];
+}
+
+void RelationStore::DropEditAt(uint32_t slot) {
+  edit_heap_bytes_ -= HeapBytes(edits_[slot]);
+  edit_slot_[edits_[slot].row] = kNoEdit;
+  if (slot + 1 != edits_.size()) {
+    edits_[slot] = std::move(edits_.back());
+    edit_slot_[edits_[slot].row] = slot;
+  }
+  edits_.pop_back();
 }
 
 void RelationStore::ReplaceRow(size_t row, std::vector<uint32_t> cols,
                                std::vector<uint16_t> masks) {
   assert(cols.size() == masks.size());
   assert(std::is_sorted(cols.begin(), cols.end()));
-  LooseRow& loose = loose_[static_cast<uint32_t>(row)];
-  loose.cols = std::move(cols);
-  loose.masks = std::move(masks);
-  patches_.erase(static_cast<uint32_t>(row));
+  RowEdit& edit = EditFor(row);
+  const size_t before = HeapBytes(edit);
+  edit.loose = true;
+  edit.cols = std::move(cols);
+  edit.masks = std::move(masks);
+  edit.patches = std::vector<RowPatch>();  // Release, not just clear.
+  edit_heap_bytes_ = edit_heap_bytes_ + HeapBytes(edit) - before;
 }
 
 void RelationStore::PatchPair(size_t row, size_t col, bool was_explicit,
                               bool now_explicit, uint16_t mask) {
-  const uint32_t row32 = static_cast<uint32_t>(row);
-  const uint32_t col32 = static_cast<uint32_t>(col);
-  if (!loose_.empty()) {
-    const auto lit = loose_.find(row32);
-    if (lit != loose_.end()) {
-      // Loose row: edit the explicit column list in place.
-      LooseRow& loose = lit->second;
-      auto pos = std::lower_bound(loose.cols.begin(), loose.cols.end(), col32);
-      const size_t k = static_cast<size_t>(pos - loose.cols.begin());
-      const bool present = pos != loose.cols.end() && *pos == col32;
-      if (now_explicit) {
-        if (present) {
-          loose.masks[k] = mask;
-        } else {
-          loose.cols.insert(pos, col32);
-          loose.masks.insert(loose.masks.begin() + static_cast<ptrdiff_t>(k),
-                             mask);
-        }
-      } else if (present) {
-        loose.cols.erase(pos);
-        loose.masks.erase(loose.masks.begin() + static_cast<ptrdiff_t>(k));
-      }
-      return;
-    }
+  RowEdit* edit = FindEdit(row);
+  if (edit == nullptr) {
+    if (!was_explicit && !now_explicit) return;
+    edit = &EditFor(row);
   }
-  const auto pit = patches_.find(row32);
-  std::vector<RowPatch>* list = pit == patches_.end() ? nullptr : &pit->second;
-  if (list != nullptr) {
+  const uint32_t col32 = static_cast<uint32_t>(col);
+  const size_t before = HeapBytes(*edit);
+  if (edit->loose) {
+    // Loose row: edit the explicit column list in place.
+    auto pos = std::lower_bound(edit->cols.begin(), edit->cols.end(), col32);
+    const size_t k = static_cast<size_t>(pos - edit->cols.begin());
+    const bool present = pos != edit->cols.end() && *pos == col32;
+    if (now_explicit) {
+      if (present) {
+        edit->masks[k] = mask;
+      } else {
+        edit->cols.insert(pos, col32);
+        edit->masks.insert(edit->masks.begin() + static_cast<ptrdiff_t>(k),
+                           mask);
+      }
+    } else if (present) {
+      edit->cols.erase(pos);
+      edit->masks.erase(edit->masks.begin() + static_cast<ptrdiff_t>(k));
+    }
+  } else {
+    std::vector<RowPatch>& list = edit->patches;
     auto pos = std::lower_bound(
-        list->begin(), list->end(), col32,
-        [](const RowPatch& patch, uint32_t c) { return patch.col < c; });
-    while (pos != list->end() && pos->col == col32 && pos->is_ghost != 0) {
+        list.begin(), list.end(), col32,
+        [](const RowPatch& entry, uint32_t c) { return entry.col < c; });
+    while (pos != list.end() && pos->col == col32 && pos->is_ghost != 0) {
       ++pos;
     }
-    if (pos != list->end() && pos->col == col32) {
+    if (pos != list.end() && pos->col == col32) {
       // Existing override: keep its base-slot flag (set at first patch,
       // when "before" still meant base-build time).
       if (!now_explicit && pos->consumes_base == 0) {
-        list->erase(pos);  // Degenerated to a no-op entry.
+        list.erase(pos);  // Degenerated to a no-op entry.
       } else {
         pos->is_explicit = now_explicit ? 1 : 0;
         pos->mask = mask;
       }
-      return;
+    } else if (was_explicit || now_explicit) {
+      RowPatch patch;
+      patch.col = col32;
+      patch.consumes_base = was_explicit ? 1 : 0;
+      patch.is_explicit = now_explicit ? 1 : 0;
+      patch.mask = mask;
+      list.insert(pos, patch);
     }
-    if (!was_explicit && !now_explicit) return;
-    RowPatch patch;
-    patch.col = col32;
-    patch.consumes_base = was_explicit ? 1 : 0;
-    patch.is_explicit = now_explicit ? 1 : 0;
-    patch.mask = mask;
-    list->insert(pos, patch);
-    return;
   }
-  if (!was_explicit && !now_explicit) return;
-  RowPatch patch;
-  patch.col = col32;
-  patch.consumes_base = was_explicit ? 1 : 0;
-  patch.is_explicit = now_explicit ? 1 : 0;
-  patch.mask = mask;
-  patches_[row32].push_back(patch);
+  edit_heap_bytes_ = edit_heap_bytes_ + HeapBytes(*edit) - before;
 }
 
 void RelationStore::EraseRegion(size_t id) {
@@ -192,73 +206,75 @@ void RelationStore::EraseRegion(size_t id) {
   profile_.min_y.erase(profile_.min_y.begin() + at);
   profile_.max_y.erase(profile_.max_y.begin() + at);
   profile_.cross_override.erase(profile_.cross_override.begin() + at);
-  // Loose rows: drop the erased column, renumber columns and row keys.
-  std::unordered_map<uint32_t, LooseRow> loose;
-  loose.reserve(loose_.size());
-  for (auto& entry : loose_) {
-    if (entry.first == id32) continue;
-    LooseRow& row = entry.second;
-    auto pos = std::lower_bound(row.cols.begin(), row.cols.end(), id32);
-    if (pos != row.cols.end() && *pos == id32) {
-      row.masks.erase(row.masks.begin() + (pos - row.cols.begin()));
-      pos = row.cols.erase(pos);
-    }
-    for (auto it = pos; it != row.cols.end(); ++it) --*it;
-    loose.emplace(entry.first > id32 ? entry.first - 1 : entry.first,
-                  std::move(row));
-  }
-  loose_ = std::move(loose);
-  // Patch lists: the erased column's base-consuming overrides become
-  // ghosts (their orphaned base slot outlives the column), its other
-  // overrides drop, higher columns renumber. The transform is monotone on
-  // (col, ghosts-first), so the list order is preserved.
-  std::unordered_map<uint32_t, std::vector<RowPatch>> patches;
-  patches.reserve(patches_.size());
-  for (auto& entry : patches_) {
-    if (entry.first == id32) continue;
-    std::vector<RowPatch> out;
-    out.reserve(entry.second.size());
-    for (RowPatch patch : entry.second) {
-      if (patch.is_ghost != 0) {
-        if (patch.col > id32) --patch.col;
-        out.push_back(patch);
-      } else if (patch.col == id32) {
-        if (patch.consumes_base != 0) {
-          RowPatch ghost;
-          ghost.col = id32;
-          ghost.consumes_base = 1;
-          ghost.is_ghost = 1;
-          out.push_back(ghost);
-        }
-      } else {
-        if (patch.col > id32) --patch.col;
-        out.push_back(patch);
+  if (edit_slot_.empty()) return;
+  // Edit layer, renumbered in place: row id's record goes, rows and
+  // columns above id move down by one.
+  if (edit_slot_[id] != kNoEdit) DropEditAt(edit_slot_[id]);
+  edit_slot_.erase(edit_slot_.begin() + at);
+  // Backwards, so a record DropEditAt moves into the current slot has
+  // already been renumbered.
+  for (uint32_t slot = static_cast<uint32_t>(edits_.size()); slot-- > 0;) {
+    RowEdit& edit = edits_[slot];
+    if (edit.row > id32) --edit.row;
+    if (edit.loose) {
+      // Loose row: drop the erased column, renumber the ones above it.
+      auto pos = std::lower_bound(edit.cols.begin(), edit.cols.end(), id32);
+      if (pos != edit.cols.end() && *pos == id32) {
+        edit.masks.erase(edit.masks.begin() + (pos - edit.cols.begin()));
+        pos = edit.cols.erase(pos);
       }
+      for (auto it = pos; it != edit.cols.end(); ++it) --*it;
+      continue;
     }
-    if (!out.empty()) {
-      patches.emplace(entry.first > id32 ? entry.first - 1 : entry.first,
-                      std::move(out));
+    // Patch list: the erased column's base-consuming overrides become
+    // ghosts (their orphaned base slot outlives the column), its other
+    // overrides drop, higher columns renumber. Each entry maps to at most
+    // one, and the map is monotone on (col, ghosts-first), so the list
+    // compacts in place and stays sorted. A list left empty is freed.
+    size_t out = 0;
+    for (RowPatch patch : edit.patches) {
+      if (patch.is_ghost == 0 && patch.col == id32) {
+        if (patch.consumes_base == 0) continue;
+        patch.is_ghost = 1;
+        patch.is_explicit = 0;
+        patch.mask = 0;
+      } else if (patch.col > id32) {
+        --patch.col;
+      }
+      edit.patches[out++] = patch;
     }
+    edit.patches.resize(out);
+    if (out == 0) DropEditAt(slot);
   }
-  patches_ = std::move(patches);
 }
 
 void RelationStore::MaybeCompactRow(size_t row) {
-  const auto it = patches_.find(static_cast<uint32_t>(row));
-  if (it == patches_.end() || it->second.size() <= kCompactPatches) return;
+  RowEdit* edit = FindEdit(row);
+  if (edit == nullptr || edit->loose ||
+      edit->patches.size() <= kCompactPatches) {
+    return;
+  }
   // Rebuild the row as a loose row via one merged walk; the current codes
   // decide explicitness (patches never disagree with them — they exist to
   // keep the base cursor aligned and to carry masks).
-  LooseRow loose;
-  ForEachInRow(row, [this, row, &loose](size_t j,
-                                        const CardinalRelation& relation) {
+  std::vector<uint32_t> cols;
+  std::vector<uint16_t> masks;
+  ForEachInRow(row, [this, row, &cols, &masks](
+                        size_t j, const CardinalRelation& relation) {
     if (!ResolvableCode(ClassPairCode(profile_, row, j))) {
-      loose.cols.push_back(static_cast<uint32_t>(j));
-      loose.masks.push_back(relation.mask());
+      cols.push_back(static_cast<uint32_t>(j));
+      masks.push_back(relation.mask());
     }
   });
-  loose_[static_cast<uint32_t>(row)] = std::move(loose);
-  patches_.erase(static_cast<uint32_t>(row));
+  ReplaceRow(row, std::move(cols), std::move(masks));
+}
+
+void RelationStore::RechargeMem() {
+  CARDIR_AUDIT(SumHeapBytes(edits_) == edit_heap_bytes_
+                   ? AuditResult()
+                   : AuditResult("RelationStore: running edit-layer bytes "
+                                 "drifted from its records"));
+  charge_ = MemCharge(bytes());
 }
 
 }  // namespace cardir

@@ -40,6 +40,9 @@
 //     *ghost* entries consume a base slot of an erased column;
 //   * *loose rows* — rows rewritten wholesale as explicit column-id/mask
 //     pairs, their base slots orphaned.
+// The edit layer is row-indexed: a uint32_t row → record table points into
+// a dense pool of per-row edit records, so finding a row's edits is one
+// array index and EraseRegion renumbers rows and columns in place.
 // Callers (the DeltaEngine, the mutation property tests) own the
 // consistency contract: after every profile change (SetRegionBox /
 // AppendRegion), every pair whose explicitness or mask changed must be
@@ -55,7 +58,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -127,8 +129,9 @@ class RelationStore {
       : profile_(other.profile_),
         row_offsets_(other.row_offsets_),
         overlay_masks_(other.overlay_masks_),
-        loose_(other.loose_),
-        patches_(other.patches_),
+        edit_slot_(other.edit_slot_),
+        edits_(other.edits_),
+        edit_heap_bytes_(SumHeapBytes(edits_)),
         relations_(other.relations_),
         charge_(bytes()) {}
   RelationStore& operator=(const RelationStore& other) {
@@ -136,8 +139,9 @@ class RelationStore {
       profile_ = other.profile_;
       row_offsets_ = other.row_offsets_;
       overlay_masks_ = other.overlay_masks_;
-      loose_ = other.loose_;
-      patches_ = other.patches_;
+      edit_slot_ = other.edit_slot_;
+      edits_ = other.edits_;
+      edit_heap_bytes_ = SumHeapBytes(edits_);
       relations_ = other.relations_;
       charge_ = MemCharge(bytes());
     }
@@ -159,23 +163,17 @@ class RelationStore {
   size_t overlay_pairs() const { return overlay_masks_.size(); }
 
   /// Storage footprint in bytes (what mem.relation_store is charged),
-  /// including the mutation layer's patch lists and loose rows.
+  /// including the mutation layer's patch lists and loose rows. Exact and
+  /// O(1): the edit records' list capacities are a running total.
   size_t bytes() const {
-    size_t total = (profile_.min_x.capacity() + profile_.max_x.capacity() +
-                    profile_.min_y.capacity() + profile_.max_y.capacity()) *
-                       sizeof(double) +
-                   profile_.cross_override.capacity() * sizeof(uint8_t) +
-                   row_offsets_.capacity() * sizeof(uint64_t) +
-                   overlay_masks_.capacity() * sizeof(uint16_t);
-    for (const auto& entry : loose_) {
-      total += kEditNodeBytes +
-               entry.second.cols.capacity() * sizeof(uint32_t) +
-               entry.second.masks.capacity() * sizeof(uint16_t);
-    }
-    for (const auto& entry : patches_) {
-      total += kEditNodeBytes + entry.second.capacity() * sizeof(RowPatch);
-    }
-    return total;
+    return (profile_.min_x.capacity() + profile_.max_x.capacity() +
+            profile_.min_y.capacity() + profile_.max_y.capacity()) *
+               sizeof(double) +
+           profile_.cross_override.capacity() * sizeof(uint8_t) +
+           row_offsets_.capacity() * sizeof(uint64_t) +
+           overlay_masks_.capacity() * sizeof(uint16_t) +
+           edit_slot_.capacity() * sizeof(uint32_t) +
+           edits_.capacity() * sizeof(RowEdit) + edit_heap_bytes_;
   }
 
   /// True when either axis class of (primary, reference) is kCross or a box
@@ -198,25 +196,23 @@ class RelationStore {
   template <typename Fn>
   void ForEachInRow(size_t primary, Fn&& fn) const {
     const size_t n = profile_.size();
-    if (!loose_.empty()) {
-      const auto it = loose_.find(static_cast<uint32_t>(primary));
-      if (it != loose_.end()) {
-        // Loose row: the sorted explicit columns are authoritative, the
-        // base slots (if any) are orphaned.
-        const LooseRow& row = it->second;
-        size_t k = 0;
-        for (size_t j = 0; j < n; ++j) {
-          if (j == primary) continue;
-          if (k < row.cols.size() && row.cols[k] == j) {
-            fn(j, CardinalRelation::FromMask(row.masks[k++]));
-          } else {
-            fn(j, (*relations_)[ClassPairCode(profile_, primary, j)]);
-          }
+    const RowEdit* edit = FindEdit(primary);
+    if (edit != nullptr && edit->loose) {
+      // Loose row: the sorted explicit columns are authoritative, the base
+      // slots (if any) are orphaned.
+      size_t k = 0;
+      for (size_t j = 0; j < n; ++j) {
+        if (j == primary) continue;
+        if (k < edit->cols.size() && edit->cols[k] == j) {
+          fn(j, CardinalRelation::FromMask(edit->masks[k++]));
+        } else {
+          fn(j, (*relations_)[ClassPairCode(profile_, primary, j)]);
         }
-        return;
       }
+      return;
     }
-    const std::vector<RowPatch>* patches = FindPatches(primary);
+    const std::vector<RowPatch>* patches =
+        edit != nullptr ? &edit->patches : nullptr;
     const uint16_t* overlay = overlay_masks_.data() + row_offsets_[primary];
     size_t cursor = 0;
     if (patches == nullptr) {
@@ -318,7 +314,9 @@ class RelationStore {
   /// profile entry; indices above `id` renumber down by one. Precondition:
   /// every explicit pair (j, id) has been patched implicit (PatchPair with
   /// now_explicit = false), so base slots of column `id` are recorded in
-  /// patch lists and convert to ghosts. O(regions + overlay + edits).
+  /// patch lists and convert to ghosts. O(regions + overlay + edits) of
+  /// memmove-class work: the base and the row → edit table are spliced, and
+  /// one pass renumbers the edit records in place (no container rebuilt).
   void EraseRegion(size_t id);
 
   /// Converts `row`'s patch list to a loose row once it outgrows
@@ -327,11 +325,20 @@ class RelationStore {
   void MaybeCompactRow(size_t row);
 
   /// Re-charges the mem.relation_store arena for the current footprint.
-  /// Call once per mutation batch.
-  void RechargeMem() { charge_ = MemCharge(bytes()); }
+  /// Call once per mutation batch. Audit builds check the running edit-layer
+  /// total against a walk of the records here.
+  void RechargeMem();
 
   /// Rows currently carrying edits (loose or patched) — test hook.
-  size_t edited_rows() const { return loose_.size() + patches_.size(); }
+  size_t edited_rows() const { return edits_.size(); }
+
+  /// How row `row` is currently stored — test hook.
+  enum class RowState { kBase, kPatched, kLoose };
+  RowState row_state(size_t row) const {
+    const RowEdit* edit = FindEdit(row);
+    if (edit == nullptr) return RowState::kBase;
+    return edit->loose ? RowState::kLoose : RowState::kPatched;
+  }
 
  private:
   friend Result<RelationStore> ComputeRelationStore(
@@ -340,8 +347,8 @@ class RelationStore {
 
   // Patch lists longer than this compact into a loose row.
   static constexpr size_t kCompactPatches = 64;
-  // Flat estimate of one unordered_map node + bookkeeping, for bytes().
-  static constexpr size_t kEditNodeBytes = 64;
+  // edit_slot_ value of a row without an edit record.
+  static constexpr uint32_t kNoEdit = ~uint32_t{0};
 
   // One sparse edit to a base row. Sorted by (col, ghosts first). A ghost
   // consumes one orphaned base slot of an erased column; a normal entry
@@ -355,16 +362,38 @@ class RelationStore {
     uint16_t mask = 0;
   };
 
-  // A row rewritten wholesale: ascending explicit column ids + masks.
-  struct LooseRow {
-    std::vector<uint32_t> cols;
-    std::vector<uint16_t> masks;
+  // The edits of one row: a patch list over its base row, or — once
+  // `loose` — the row rewritten wholesale as ascending explicit column ids
+  // + masks, its base slots orphaned.
+  struct RowEdit {
+    uint32_t row = 0;  // Back-reference for the pool's swap-remove.
+    bool loose = false;
+    std::vector<RowPatch> patches;  // Unless loose.
+    std::vector<uint32_t> cols;     // Loose only.
+    std::vector<uint16_t> masks;    // Loose only.
   };
 
-  const std::vector<RowPatch>* FindPatches(size_t row) const {
-    if (patches_.empty()) return nullptr;
-    const auto it = patches_.find(static_cast<uint32_t>(row));
-    return it == patches_.end() ? nullptr : &it->second;
+  const RowEdit* FindEdit(size_t row) const {
+    if (edit_slot_.empty() || edit_slot_[row] == kNoEdit) return nullptr;
+    return &edits_[edit_slot_[row]];
+  }
+  RowEdit* FindEdit(size_t row) {
+    return const_cast<RowEdit*>(std::as_const(*this).FindEdit(row));
+  }
+  // Row `row`'s record, created (empty patch list) when absent.
+  RowEdit& EditFor(size_t row);
+  // Frees the pool record at `slot` (swap-remove).
+  void DropEditAt(uint32_t slot);
+  // Heap bytes of one record's lists, and their sum over `edits`.
+  static size_t HeapBytes(const RowEdit& edit) {
+    return edit.patches.capacity() * sizeof(RowPatch) +
+           edit.cols.capacity() * sizeof(uint32_t) +
+           edit.masks.capacity() * sizeof(uint16_t);
+  }
+  static size_t SumHeapBytes(const std::vector<RowEdit>& edits) {
+    size_t total = 0;
+    for (const RowEdit& edit : edits) total += HeapBytes(edit);
+    return total;
   }
 
   // Balances the mem.relation_store gauges across moves and destruction.
@@ -393,13 +422,16 @@ class RelationStore {
   };
 
   RegionProfile profile_;
-  std::vector<uint64_t> row_offsets_;    // regions() + 1 entries.
+  std::vector<uint64_t> row_offsets_ = {0};  // regions() + 1 entries.
   std::vector<uint16_t> overlay_masks_;  // Row-major, ascending reference.
-  // Mutation layer: rows rewritten wholesale / sparse column overrides.
-  std::unordered_map<uint32_t, LooseRow> loose_;
-  std::unordered_map<uint32_t, std::vector<RowPatch>> patches_;
+  // Mutation layer: row → index into edits_ (kNoEdit when the row reads its
+  // base only; empty until the first edit), and the records themselves.
+  std::vector<uint32_t> edit_slot_;
+  std::vector<RowEdit> edits_;
+  // SumHeapBytes(edits_), kept current by every edit.
+  size_t edit_heap_bytes_ = 0;
   const std::array<CardinalRelation, kNumClassPairCodes>* relations_ =
-      nullptr;
+      &ClassPairRelations();
   MemCharge charge_;
 };
 

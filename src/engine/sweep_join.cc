@@ -117,7 +117,6 @@ Result<RelationStore> ComputeRelationStore(
 
   RelationStore store;
   store.profile_ = RegionProfile::FromBoxes(boxes);
-  store.relations_ = &ClassPairRelations();
   store.row_offsets_.assign(n + 1, 0);
   if (n < 2) {
     store.charge_ = RelationStore::MemCharge(store.bytes());

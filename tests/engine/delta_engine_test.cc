@@ -20,6 +20,7 @@
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "obs/memstats.h"
+#include "obs/metrics.h"
 #include "properties/random_instances.h"
 #include "util/random.h"
 #include "workload/region_gen.h"
@@ -267,27 +268,40 @@ TEST(DeltaEngineTest, ErrorsLeaveEngineUntouched) {
   EXPECT_EQ(engine.value().Digest(), digest);
 }
 
-TEST(DeltaEngineTest, GrowFromEmptyEngine) {
-  auto engine = DeltaEngine::Build({});
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  EXPECT_EQ(engine.value().regions(), 0u);
-
+// Grows `engine` from zero regions and drains it again, digest-checked
+// after every step.
+void GrowThenDrain(DeltaEngine* engine) {
+  EXPECT_EQ(engine->regions(), 0u);
   std::vector<Region> mirror;
   Rng rng(0x60Fu);
   for (int i = 0; i < 12; ++i) {
     Region region = RandomMutationRegion(&rng);
     mirror.push_back(region);
-    const auto applied = engine.value().Insert(std::move(region));
+    const auto applied = engine->Insert(std::move(region));
     ASSERT_TRUE(applied.ok()) << applied.status();
-    ASSERT_EQ(engine.value().Digest(), SerialDigest(mirror));
+    ASSERT_EQ(engine->Digest(), SerialDigest(mirror));
   }
   while (!mirror.empty()) {
     const size_t id = rng.NextBelow(mirror.size());
     mirror.erase(mirror.begin() + static_cast<ptrdiff_t>(id));
-    ASSERT_TRUE(engine.value().Remove(id).ok());
-    ASSERT_EQ(engine.value().Digest(), SerialDigest(mirror));
+    ASSERT_TRUE(engine->Remove(id).ok());
+    ASSERT_EQ(engine->Digest(), SerialDigest(mirror));
   }
-  EXPECT_EQ(engine.value().regions(), 0u);
+  EXPECT_EQ(engine->regions(), 0u);
+}
+
+TEST(DeltaEngineTest, GrowFromEmptyEngine) {
+  auto built = DeltaEngine::Build({});
+  ASSERT_TRUE(built.ok()) << built.status();
+  {
+    SCOPED_TRACE("DeltaEngine::Build({})");
+    GrowThenDrain(&built.value());
+  }
+  DeltaEngine engine;
+  {
+    SCOPED_TRACE("DeltaEngine{}");
+    GrowThenDrain(&engine);
+  }
 }
 
 #ifdef CARDIR_OBS_ENABLED
@@ -315,6 +329,49 @@ TEST(DeltaEngineMemstats, AuxArenaBalancesAcrossCopyMoveAndDestroy) {
     ASSERT_TRUE(moved.Move(3, RandomMutationRegion(&rng)).ok());
   }
   EXPECT_EQ(arena.LiveBytes(), live_before);
+}
+
+// Index health through the metrics registry: delta.index.pending is the
+// larger axis's dead + overflow count, delta.index.rebuild_threshold the
+// level it must exceed, and delta.index.rebuilds counts the deferred
+// re-sorts (one per axis) but not the initial build.
+TEST(DeltaEngineObs, IndexRebuildCounterAndPendingGauge) {
+  // 200 disjoint 30x30 squares on a 20-column grid; threshold
+  // max(64, 200/8) = 64.
+  const auto square = [](size_t i, double shift) {
+    const double x = static_cast<double>(i % 20) * 50.0 + shift;
+    const double y = static_cast<double>(i / 20) * 50.0 + shift;
+    return Region(MakeRectangle(x, y, x + 30.0, y + 30.0));
+  };
+  std::vector<Region> regions;
+  for (size_t i = 0; i < 200; ++i) regions.push_back(square(i, 0.0));
+  const obs::MetricsSnapshot before = obs::CaptureMetrics();
+  auto built = DeltaEngine::Build(regions);
+  ASSERT_TRUE(built.ok()) << built.status();
+  DeltaEngine& engine = built.value();
+  EXPECT_EQ(obs::CaptureMetrics().Diff(before).counter("delta.index.rebuilds"),
+            0u);
+
+  // A region's first move tombstones its sorted entry and parks the new
+  // interval in overflow: +2 per axis, so the 33rd move crosses 64.
+  for (size_t m = 0; m < 32; ++m) {
+    ASSERT_TRUE(engine.Move(m, square(m, 5.0)).ok());
+    const obs::MetricsSnapshot now = obs::CaptureMetrics();
+    EXPECT_EQ(now.gauge("delta.index.pending"),
+              static_cast<int64_t>(2 * m + 2));
+    EXPECT_EQ(now.gauge("delta.index.rebuild_threshold"), 64);
+    EXPECT_EQ(now.Diff(before).counter("delta.index.rebuilds"), 0u);
+  }
+  ASSERT_TRUE(engine.Move(32, square(32, 5.0)).ok());
+  obs::MetricsSnapshot now = obs::CaptureMetrics();
+  EXPECT_EQ(now.Diff(before).counter("delta.index.rebuilds"), 2u);
+  EXPECT_EQ(now.gauge("delta.index.pending"), 0);
+
+  // A remove leaves one tombstone per axis and no re-sort.
+  ASSERT_TRUE(engine.Remove(100).ok());
+  now = obs::CaptureMetrics();
+  EXPECT_EQ(now.gauge("delta.index.pending"), 1);
+  EXPECT_EQ(now.Diff(before).counter("delta.index.rebuilds"), 2u);
 }
 #endif  // CARDIR_OBS_ENABLED
 

@@ -171,6 +171,63 @@ TEST(IntervalIndexTest, PendingMutationsTriggerRebuild) {
   ExpectQueriesMatch(index, shadow, &rng, 32);
 }
 
+// Remove renumbers in place instead of re-sorting, so each removal moves
+// pending() by the kind of entry it retires: a sorted main-array entry
+// leaves a tombstone (+1), an overflow entry parked by Update/Append just
+// goes (-1), a skipped entry was never indexed (0). Queries stay exact
+// after every removal, and only the max(64, size/8) threshold re-sorts.
+TEST(IntervalIndexTest, RemoveDefersRebuildAndStaysExact) {
+  Rng rng(0x4E30u);
+  std::vector<ShadowEntry> shadow;
+  for (size_t i = 0; i < 300; ++i) {
+    shadow.push_back(RandomEntry(&rng));
+    shadow.back().skip = i == 150;  // The one skipped entry.
+  }
+  IntervalOverlapIndex index;
+  BuildFromShadow(&index, shadow);
+  // Park two live entries in the overflow buffer: id 100 via Update (its
+  // sorted entry becomes a tombstone) and a new last id 300 via Append.
+  shadow[100] = RandomEntry(&rng);
+  shadow[100].skip = false;
+  index.Update(100, shadow[100].lo, shadow[100].hi, false);
+  shadow.push_back(RandomEntry(&rng));
+  shadow.back().skip = false;
+  index.Append(shadow.back().lo, shadow.back().hi, false);
+  ASSERT_EQ(index.pending(), 3u);
+
+  // Removes `id` from both; returns the change in pending().
+  const auto remove = [&](size_t id) {
+    const int64_t before = static_cast<int64_t>(index.pending());
+    shadow.erase(shadow.begin() + static_cast<ptrdiff_t>(id));
+    index.Remove(id);
+    EXPECT_EQ(index.size(), shadow.size());
+    ExpectQueriesMatch(index, shadow, &rng, 16);
+    return static_cast<int64_t>(index.pending()) - before;
+  };
+  EXPECT_EQ(remove(0), 1);                  // First id, main entry.
+  EXPECT_EQ(remove(shadow.size() - 1), -1);  // Last id: the Append (300).
+  EXPECT_EQ(remove(shadow.size() - 1), 1);   // Last id, main entry (299).
+  EXPECT_EQ(remove(99), -1);   // Middle: the Update (100, renumbered 99).
+  EXPECT_EQ(remove(148), 0);   // Middle: the skipped 150, renumbered 148.
+  ASSERT_EQ(index.pending(), 3u);
+
+  // Every entry left is a main-array entry: pending() climbs by one per
+  // removal until the removal that lifts it over the threshold re-sorts.
+  bool rebuilt = false;
+  while (!rebuilt && shadow.size() > 2) {
+    const size_t before = index.pending();
+    remove(shadow.size() / 2);
+    if (before + 1 > index.rebuild_threshold()) {
+      ASSERT_EQ(index.pending(), 0u);
+      rebuilt = true;
+    } else {
+      ASSERT_EQ(index.pending(), before + 1);
+    }
+  }
+  EXPECT_TRUE(rebuilt);
+  EXPECT_EQ(index.rebuild_threshold(), IntervalOverlapIndex::kBlock);
+}
+
 TEST(CandidateBitsetTest, DrainIsSortedDedupedAndSelfClearing) {
   CandidateBitset bits;
   bits.Reset(300);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -456,14 +457,27 @@ TEST(RelationStoreMutation, ShadowModelScriptsWithDegenerateBoxes) {
 // Compaction path: enough columns mutate that rows outgrow the
 // kCompactPatches=64 patch-list threshold and convert to loose rows; the
 // script then keeps mutating so the loose-row edit paths (in-place
-// PatchPair, EraseRegion renumbering) are exercised too.
+// PatchPair, EraseRegion renumbering) are exercised too, and finally
+// erases the first, the last and a middle id with patched and loose rows
+// on every side of it. The arena charge must equal bytes() at every step.
 TEST(RelationStoreMutation, PatchListsCompactAndStayCorrect) {
+#ifdef CARDIR_OBS_ENABLED
+  obs::MemArena& arena = obs::MemArena::Get("relation_store");
+  const int64_t live_before = arena.LiveBytes();
+#endif  // CARDIR_OBS_ENABLED
   Rng rng(0xC03Au);
   const int n = 80;
   const std::vector<Region> regions = SmallOverlapRegions(&rng, n);
   auto built = ComputeRelationStore(regions);
   ASSERT_TRUE(built.ok()) << built.status();
   RelationStore store = std::move(*built);
+  const auto expect_exact_charge = [&]() {
+#ifdef CARDIR_OBS_ENABLED
+    store.RechargeMem();
+    ASSERT_EQ(arena.LiveBytes() - live_before,
+              static_cast<int64_t>(store.bytes()));
+#endif  // CARDIR_OBS_ENABLED
+  };
 
   ShadowModel shadow;
   for (const Region& region : regions) {
@@ -484,13 +498,40 @@ TEST(RelationStoreMutation, PatchListsCompactAndStayCorrect) {
       ApplyShadowSetBox(&store, &shadow, rng.NextBelow(shadow.boxes.size()),
                         RandomShadowBox(&rng), &rng);
     }
+    expect_exact_charge();
   }
   EXPECT_GT(store.edited_rows(), 0u);
   ExpectMatchesShadow(store, shadow);
 
+  const auto has_row = [&store](size_t from, size_t to,
+                                RelationStore::RowState state) {
+    for (size_t r = from; r < to; ++r) {
+      if (store.row_state(r) == state) return true;
+    }
+    return false;
+  };
+  for (const std::string where : {"first", "last", "middle"}) {
+    SCOPED_TRACE(where);
+    const size_t count = shadow.boxes.size();
+    const size_t id = where == "first" ? 0
+                      : where == "last" ? count - 1
+                                        : count / 2;
+    for (const RelationStore::RowState state :
+         {RelationStore::RowState::kPatched, RelationStore::RowState::kLoose}) {
+      if (id > 0) {
+        ASSERT_TRUE(has_row(0, id, state));
+      }
+      if (id + 1 < count) {
+        ASSERT_TRUE(has_row(id + 1, count, state));
+      }
+    }
+    ApplyShadowErase(&store, &shadow, id);
+    ExpectMatchesShadow(store, shadow);
+    expect_exact_charge();
+  }
+
 #ifdef CARDIR_OBS_ENABLED
   // The arena recharge must track the mutated footprint exactly.
-  obs::MemArena& arena = obs::MemArena::Get("relation_store");
   store.RechargeMem();
   const int64_t live_after = arena.LiveBytes();
   store.RechargeMem();  // Idempotent: same footprint, same charge.

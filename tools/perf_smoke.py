@@ -22,6 +22,11 @@ Usage:
 row individually — the right shape for tight bounds (e.g. the 2% profiler
 overhead gate) where single-row scheduler noise exceeds the threshold.
 
+--require / --require-mode count only *gated* rows: rows in both ledgers
+whose baseline wall time is at or above --min-ms. A required workload or
+mode whose rows all sit under the noise floor is not timed, so it fails
+the requirement.
+
 Exit status: 0 when every matched row is within the thresholds, 1 on any
 regression (time or memory), 2 on bad input.
 """
@@ -81,16 +86,19 @@ def main():
                              "exceeds the threshold)")
     parser.add_argument("--require", action="append", default=[],
                         metavar="WORKLOAD",
-                        help="fail unless at least one matched row belongs "
-                             "to this workload (repeatable); guards against "
-                             "a fresh run that silently skipped the "
-                             "workload the gate is meant to cover")
+                        help="fail unless at least one gated row (matched "
+                             "and not under --min-ms) belongs to this "
+                             "workload (repeatable); guards against a fresh "
+                             "run that silently skipped the workload the "
+                             "gate is meant to cover")
     parser.add_argument("--require-mode", action="append", default=[],
                         metavar="MODE",
-                        help="fail unless at least one matched row runs in "
-                             "this mode (repeatable); guards against a "
-                             "fresh run or a baseline refresh that silently "
-                             "dropped a gated mode (e.g. engine_sweep)")
+                        help="fail unless at least one gated row (matched "
+                             "and not under --min-ms) runs in this mode "
+                             "(repeatable); guards against a fresh run or a "
+                             "baseline refresh that silently dropped a gated "
+                             "mode (e.g. engine_sweep), or sped its rows "
+                             "under the noise floor")
     args = parser.parse_args()
 
     baseline = load_runs(args.baseline)
@@ -104,17 +112,22 @@ def main():
     for key in sorted(set(fresh) - set(baseline)):
         print(f"  [skip] {key}: not in baseline")
 
-    matched_workloads = {key[0] for key in matched}
-    missing = [w for w in args.require if w not in matched_workloads]
+    # Requirements count the rows whose wall time is actually gated.
+    gated = [key for key in matched if baseline[key]["ms"] >= args.min_ms]
+    gated_workloads = {key[0] for key in gated}
+    missing = [w for w in args.require if w not in gated_workloads]
     if missing:
-        print(f"perf_smoke: required workload(s) absent from the matched "
-              f"rows: {', '.join(missing)}", file=sys.stderr)
+        print(f"perf_smoke: required workload(s) without a gated row "
+              f"(absent from the matched rows, or every row under "
+              f"--min-ms {args.min_ms}): {', '.join(missing)}",
+              file=sys.stderr)
         sys.exit(2)
-    matched_modes = {key[2] for key in matched}
-    missing_modes = [m for m in args.require_mode if m not in matched_modes]
+    gated_modes = {key[2] for key in gated}
+    missing_modes = [m for m in args.require_mode if m not in gated_modes]
     if missing_modes:
-        print(f"perf_smoke: required mode(s) absent from the matched rows: "
-              f"{', '.join(missing_modes)}", file=sys.stderr)
+        print(f"perf_smoke: required mode(s) without a gated row (absent "
+              f"from the matched rows, or every row under --min-ms "
+              f"{args.min_ms}): {', '.join(missing_modes)}", file=sys.stderr)
         sys.exit(2)
 
     regressions = []
