@@ -15,60 +15,35 @@
 //   <!ATTLIST Relation type CDATA #REQUIRED
 //             primary IDREF #REQUIRED reference IDREF #REQUIRED>
 //
-// (Each Edge element carries one vertex of the polygon ring.) This module
-// provides a small from-scratch XML subset parser/writer — elements,
-// attributes, comments, declarations, DOCTYPE, the five predefined entities
-// and numeric character references — plus the DTD-shaped mapping to
-// Configuration.
+// (Each Edge element carries one vertex of the polygon ring.) The DTD has a
+// fixed depth, so neither direction builds a tree: the reader
+// (xml_reader.cc) is one pull loop over a from-scratch XML subset
+// tokenizer — elements, attributes, comments, declarations, DOCTYPE, the
+// five predefined entities and numeric character references — that binds
+// each element into the Configuration, and the writer (xml_writer.cc)
+// appends each element to one output string.
 
 #ifndef CARDIR_CARDIRECT_XML_H_
 #define CARDIR_CARDIRECT_XML_H_
 
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "cardirect/model.h"
 #include "util/status.h"
 
 namespace cardir {
 
-/// A parsed XML element.
-struct XmlNode {
-  std::string tag;
-  std::vector<std::pair<std::string, std::string>> attributes;
-  std::vector<XmlNode> children;
-  std::string text;  ///< Concatenated character data of this element.
-
-  /// Attribute value, or nullptr when absent.
-  const std::string* FindAttribute(std::string_view name) const;
-
-  /// Attribute value, or `fallback` when absent.
-  std::string AttributeOr(std::string_view name, std::string fallback) const;
-
-  /// Child elements with the given tag, in document order.
-  std::vector<const XmlNode*> ChildrenNamed(std::string_view tag_name) const;
-};
-
-/// Parses a document; returns its root element. Prologue (XML declaration,
-/// DOCTYPE with internal subset, comments, processing instructions) is
-/// accepted and skipped.
-Result<XmlNode> ParseXml(std::string_view input);
-
-/// Serialises a tree. With `pretty`, children are indented two spaces.
-std::string WriteXml(const XmlNode& root, bool pretty = true);
-
-/// Escapes &, <, >, ", ' for use in attribute values / character data.
-std::string XmlEscape(std::string_view text);
-
-/// Maps a parsed document (DTD shape above) to a Configuration. Region
-/// geometry is validated; Relation records referring to unknown region ids
-/// are rejected.
+/// Reads a document of the DTD above into a Configuration. The prologue
+/// (XML declaration, DOCTYPE with internal subset, comments, processing
+/// instructions) is skipped. An element outside its place in the DTD, an
+/// undeclared or repeated attribute, a missing required attribute and
+/// character data other than whitespace are ParseErrors naming the
+/// offender (Polygon's id stays optional). Region geometry is validated;
+/// Relation records referring to unknown region ids are rejected.
 Result<Configuration> ConfigurationFromXml(std::string_view xml);
 
-/// Serialises a Configuration to the DTD shape (with xml declaration and
-/// DOCTYPE reference).
+/// Writes a Configuration in the DTD shape, after an XML declaration.
 std::string ConfigurationToXml(const Configuration& configuration);
 
 /// File convenience wrappers.

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cerrno>
+#include <cmath>
 
 namespace cardir {
 
@@ -60,7 +61,10 @@ Result<double> ParseDouble(std::string_view text) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size() || errno == ERANGE) {
+  // ERANGE also flags an underflow to a subnormal or zero, which is the
+  // nearest double and round-trips; only an overflow (±HUGE_VAL) fails.
+  if (end != buf.c_str() + buf.size() ||
+      (errno == ERANGE && std::isinf(value))) {
     return Status::ParseError("not a number: '" + buf + "'");
   }
   return value;

@@ -96,6 +96,18 @@ TEST_F(ToolTest, ValidateAcceptsDemoConfiguration) {
 
 TEST_F(ToolTest, MissingFileFails) {
   EXPECT_EQ(RunTool({"show", "/nonexistent/nope.xml"}).exit_code, 1);
+  // 50,000 nested elements (350 KB) are a clean XML error, not a stack
+  // overflow.
+  const std::string nested = ::testing::TempDir() + "/cardirect_nested.xml";
+  {
+    std::ofstream file(nested);
+    for (int level = 0; level < 50000; ++level) file << "<a>";
+    for (int level = 0; level < 50000; ++level) file << "</a>";
+  }
+  const ToolRun run = RunTool({"show", nested});
+  EXPECT_EQ(run.exit_code, 1);
+  EXPECT_NE(run.err.find("xml:"), std::string::npos) << run.err;
+  std::remove(nested.c_str());
 }
 
 TEST_F(ToolTest, CheckDecidesConsistency) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace cardir {
 namespace {
 
@@ -40,12 +42,17 @@ TEST(ParseDoubleTest, ParsesValidNumbers) {
   EXPECT_DOUBLE_EQ(*ParseDouble("3.25"), 3.25);
   EXPECT_DOUBLE_EQ(*ParseDouble(" -0.5 "), -0.5);
   EXPECT_DOUBLE_EQ(*ParseDouble("1e3"), 1000.0);
+  // Subnormals underflow with ERANGE but are exact round-trip values.
+  EXPECT_EQ(*ParseDouble("1e-310"), 1e-310);
+  EXPECT_EQ(*ParseDouble("4.9406564584124654e-324"),
+            std::numeric_limits<double>::denorm_min());
 }
 
 TEST(ParseDoubleTest, RejectsGarbage) {
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("abc").ok());
   EXPECT_FALSE(ParseDouble("1.5x").ok());
+  EXPECT_FALSE(ParseDouble("1e400").ok());  // Overflow.
 }
 
 TEST(ParseIntTest, ParsesAndRejects) {
