@@ -35,8 +35,8 @@
 #include "bench_common.h"
 #include "core/compute_cdr.h"
 #include "engine/delta_engine.h"
+#include "engine/parallel_for.h"
 #include "engine/relation_store.h"
-#include "engine/thread_pool.h"
 #include "geometry/region.h"
 #include "obs/profile.h"
 #include "obs/recorder.h"
@@ -426,7 +426,7 @@ int Main(int argc, char** argv) {
       r.workload = name;
       r.regions = n;
       r.mode = threads == 1 ? "engine_sweep" : "engine_sweep_parallel";
-      r.threads = threads == 0 ? ThreadPool::ResolveThreadCount(0) : threads;
+      r.threads = threads == 0 ? ResolveThreadCount(0) : threads;
       r.prefilter = true;  // Implicit class resolution is the prefilter.
       r.pairs = pairs;
       EngineStats stats;

@@ -141,8 +141,8 @@ class Configuration {
   /// (the paper's "compute their relationships" action — Fig. 12) as a
   /// RelationStore covering the n·(n−1) ordered pairs in canonical
   /// (primary, reference) order. Runs on the sweep-join engine
-  /// (src/engine/sweep_join.cc): implicit box resolution plus an optional
-  /// thread pool; the stored relations are identical for every
+  /// (src/engine/sweep_join.cc): implicit box resolution plus optional
+  /// parallel row strips; the stored relations are identical for every
   /// `options.threads` value. Replaces any explicit records. `stats`, when
   /// non-null, receives the engine instrumentation.
   Status ComputeAllRelations(const EngineOptions& options = EngineOptions(),

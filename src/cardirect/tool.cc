@@ -7,6 +7,7 @@
 #include "cardirect/constraint_file.h"
 #include "cardirect/query.h"
 #include "cardirect/xml.h"
+#include "engine/parallel_for.h"
 #include "geometry/wkt.h"
 #include "index/directional_query.h"
 #include "obs/export.h"
@@ -338,9 +339,10 @@ int DispatchCommand(const std::vector<std::string>& args, std::ostream& out,
       }
       if (has_value) {
         Result<int64_t> threads = ParseInt(value);
-        if (!threads.ok() || *threads < 0) {
-          return Fail(err, Status::InvalidArgument(
-                               "--threads needs a non-negative integer"));
+        if (!threads.ok() || *threads < 0 || *threads > kMaxEngineThreads) {
+          return Fail(err, Status::InvalidArgument(StrFormat(
+                               "--threads needs an integer from 0 to %d",
+                               kMaxEngineThreads)));
         }
         options.threads = static_cast<int>(*threads);
       } else {

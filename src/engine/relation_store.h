@@ -71,7 +71,8 @@ namespace cardir {
 
 /// Tuning knobs for the sweep join.
 struct EngineOptions {
-  /// Total threads, including the calling thread. 0 = all hardware threads.
+  /// Total threads, including the calling thread. 0 = all hardware threads;
+  /// at most kMaxEngineThreads (engine/parallel_for.h).
   int threads = 1;
 };
 
@@ -105,7 +106,7 @@ class RelationStore;
 /// its interval classes. The result is bit-identical to the serial
 /// Compute-CDR loop for every thread count (the oracle tests hold the two
 /// against each other). Fails with kInvalidArgument when a region fails
-/// Region::Validate().
+/// Region::Validate() or `options.threads` exceeds kMaxEngineThreads.
 Result<RelationStore> ComputeRelationStore(
     const std::vector<const Region*>& regions,
     const EngineOptions& options = {}, EngineStats* stats = nullptr);

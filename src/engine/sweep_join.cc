@@ -13,10 +13,10 @@
 // and the join only has to *enumerate* that superset, filtering each
 // candidate with the same O(1) scalar classification the store's lookup
 // uses. Enumeration is one interval-overlap query per row per axis
-// against a static max-augmented segment tree over the boxes sorted by
-// interval start — O(log n + out) per query — so the whole join is
-// O(n log n + candidates), with candidates ≈ the MBB-interacting pairs
-// instead of n².
+// against the block-max IntervalOverlapIndex (interval_index.h: boxes
+// sorted by interval start, scans pruned by max-over-ends block summaries),
+// so the whole join is O(n log n + candidates), with candidates ≈ the
+// MBB-interacting pairs instead of n².
 //
 // Resolution of an explicit pair:
 //   * exactly one axis kCross, neither box degenerate — the one-axis-cross
@@ -38,8 +38,8 @@
 // Construction is two passes over the rows (count, then emit into
 // exact-size storage at per-row offsets), so peak memory is the final
 // store plus the sweep indexes — there is never a grow-and-merge copy of
-// the overlay. Both passes run as parallel row strips on the work-stealing
-// pool; emit writes are disjoint by construction, so the overlay is
+// the overlay. Both passes run as parallel row strips on ParallelFor's
+// fork-join; emit writes are disjoint by construction, so the overlay is
 // bit-identical for every thread count. Each strip carries one profiler
 // frame for its pass's dominant work — `prefilter.classify` under a count
 // strip, `cdr.compute` under an emit strip — so a sampled profile splits
@@ -54,9 +54,9 @@
 #include "core/compute_cdr.h"
 #include "engine/interval_index.h"
 #include "engine/interval_kernel.h"
+#include "engine/parallel_for.h"
 #include "engine/prefilter.h"
 #include "engine/relation_store.h"
-#include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/recorder.h"
@@ -71,7 +71,7 @@ namespace {
 // Compute-CDR scratch arena. The bitset (one bit per region) is how a row's
 // two axis queries combine without a sort (see engine/interval_index.h); it
 // is zeroed on construction and re-zeroed by Drain, so each row starts
-// clean. Indexed by pool participant id; a participant never runs two
+// clean. Indexed by ParallelFor participant id; a participant never runs two
 // strips concurrently, so no synchronisation is needed. Escapes into
 // cross-thread lambdas are forbidden (analyzer scratch-escape check).
 struct SweepScratch {
@@ -93,6 +93,11 @@ Result<RelationStore> ComputeRelationStore(
     EngineStats* stats) {
   const size_t n = regions.size();
   if (stats != nullptr) *stats = EngineStats();
+  if (options.threads > kMaxEngineThreads) {
+    return Status::InvalidArgument(
+        StrFormat("EngineOptions::threads is %d, above the limit of %d",
+                  options.threads, kMaxEngineThreads));
+  }
   CARDIR_TRACE_SPAN("engine.run");
   const uint64_t run_start_us = obs::TraceNowMicros();
 
@@ -174,8 +179,7 @@ Result<RelationStore> ComputeRelationStore(
     ws.bits.Drain(fn);
   };
 
-  const int threads = ThreadPool::ResolveThreadCount(options.threads);
-  ThreadPool pool(threads);
+  const int threads = ResolveThreadCount(options.threads);
   CARDIR_METRIC_GAUGE_SET("engine.pool.threads", threads);
   std::vector<SweepScratch> scratch(static_cast<size_t>(threads));
   for (SweepScratch& ws : scratch) ws.bits.Reset(n);
@@ -191,8 +195,8 @@ Result<RelationStore> ComputeRelationStore(
   {
     CARDIR_TRACE_SPAN("sweep.count");
     CARDIR_RECORD_EVENT(kPhase, "sweep.count", 2, n);
-    pool.ParallelFor(
-        n, 0, [&](size_t begin, size_t end, size_t participant) {
+    ParallelFor(
+        threads, n, [&](size_t begin, size_t end, size_t participant) {
           CARDIR_PROFILE_FRAME("sweep.strip");
           CARDIR_PROFILE_FRAME("prefilter.classify");
           CARDIR_RECORD_EVENT(kSweep, "strip", begin, end - begin);
@@ -233,8 +237,8 @@ Result<RelationStore> ComputeRelationStore(
     CARDIR_TRACE_SPAN("sweep.emit");
     CARDIR_RECORD_EVENT(kPhase, "sweep.emit", 3, overlay_total);
     uint16_t* overlay = store.overlay_masks_.data();
-    pool.ParallelFor(
-        n, 0, [&](size_t begin, size_t end, size_t participant) {
+    ParallelFor(
+        threads, n, [&](size_t begin, size_t end, size_t participant) {
           CARDIR_PROFILE_FRAME("sweep.strip");
           CARDIR_PROFILE_FRAME("cdr.compute");
           CARDIR_RECORD_EVENT(kSweep, "strip", begin, end - begin);

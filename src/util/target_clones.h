@@ -1,5 +1,6 @@
-// Runtime ISA dispatch for batched kernels (shared by the engine's
-// interval-classification kernel and core's sub-edge classification).
+// Runtime ISA dispatch for batched kernels (shared by core's sub-edge
+// classification in core/edge_soa.cc and the CDR% trapezoid accumulation in
+// core/compute_cdr_percent.cc).
 //
 // The hot kernels are pure streaming arithmetic that vectorizes ~8x wider
 // under AVX2, but the library targets the baseline x86-64 ABI; function

@@ -322,6 +322,14 @@ TEST_F(ToolTest, ThreadsEqualsFormIsAccepted) {
   const ToolRun run = RunTool({"relations", path_, "--threads=2"});
   EXPECT_EQ(run.exit_code, 0) << run.err;
   EXPECT_EQ(RunTool({"relations", path_, "--threads=bogus"}).exit_code, 1);
+  // Above the engine's thread limit, and past int's range: both rejected
+  // before the narrowing cast.
+  for (const char* flag : {"--threads=257", "--threads=4294967297"}) {
+    const ToolRun rejected = RunTool({"relations", path_, flag});
+    EXPECT_EQ(rejected.exit_code, 1) << flag;
+    EXPECT_NE(rejected.err.find("--threads"), std::string::npos)
+        << flag << ": " << rejected.err;
+  }
 }
 
 TEST_F(ToolTest, FlightRecordWritesDumpOnCleanExit) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "engine/interval_kernel.h"
+#include "engine/parallel_for.h"
 #include "engine/relation_store.h"
 #include "engine/serial_oracle.h"
 #include "geometry/region.h"
@@ -245,6 +246,23 @@ TEST(RelationStoreEdgeCases, InvalidRegionIsReported) {
   ASSERT_FALSE(store.ok());
   EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(store.status().message().find("#1"), std::string::npos);
+}
+
+TEST(RelationStoreEdgeCases, ThreadCountAboveTheLimitIsReported) {
+  std::vector<Region> regions;
+  regions.push_back(Region(MakeRectangle(0, 0, 10, 10)));
+  regions.push_back(Region(MakeRectangle(20, 0, 30, 10)));
+  auto store = ComputeRelationStore(
+      regions, EngineOptions{.threads = kMaxEngineThreads + 1});
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(store.status().message().find("256"), std::string::npos)
+      << store.status();
+  EngineStats stats;
+  auto at_limit = ComputeRelationStore(
+      regions, EngineOptions{.threads = kMaxEngineThreads}, &stats);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status();
+  EXPECT_EQ(stats.threads_used, kMaxEngineThreads);
 }
 
 // ---- Mutation-layer shadow model. The store's mutation API (SetRegionBox

@@ -1,9 +1,8 @@
-// Contention stress for the work-stealing thread pool, the sweep join and
-// the delta engine, written for the ThreadSanitizer tier (ctest --preset
-// tsan) but fast enough to ride in every engine run. Chunk size 1 (or
-// automatic chunking on small inputs, which yields 1-row strips) maximises
-// steal traffic: every claim is a fetch-add race window, and with more
-// participants than cores each shard is drained mostly by thieves.
+// Contention stress for the ParallelFor fork-join, the sweep join and the
+// delta engine, written for the ThreadSanitizer tier (ctest --preset tsan)
+// but fast enough to ride in every engine run. More participants than
+// cores, and small inputs whose automatic chunking yields 1-row strips,
+// make every claim on the shared cursor a fetch-add race window.
 
 #include <atomic>
 #include <cstdint>
@@ -13,9 +12,9 @@
 #include "core/compute_cdr.h"
 #include "core/compute_cdr_percent.h"
 #include "engine/delta_engine.h"
+#include "engine/parallel_for.h"
 #include "engine/relation_store.h"
 #include "engine/serial_oracle.h"
-#include "engine/thread_pool.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "properties/random_instances.h"
@@ -24,15 +23,14 @@
 namespace cardir {
 namespace {
 
-TEST(TsanStressTest, StealHeavyParallelForRounds) {
-  // Many short jobs on one pool: worker wake-up, chunk claiming, and the
-  // job-done rendezvous all cycle once per round.
-  ThreadPool pool(8);
+TEST(TsanStressTest, ManyShortParallelForRounds) {
+  // Many short jobs: thread start, chunk claiming and the join all cycle
+  // once per round.
   const size_t count = 512;
   std::vector<std::atomic<uint32_t>> hits(count);
   for (int round = 0; round < 50; ++round) {
     for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-    pool.ParallelFor(count, 1, [&hits](size_t begin, size_t end) {
+    ParallelFor(8, count, [&hits](size_t begin, size_t end, size_t) {
       for (size_t i = begin; i < end; ++i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
       }
@@ -45,13 +43,12 @@ TEST(TsanStressTest, StealHeavyParallelForRounds) {
 
 TEST(TsanStressTest, UnsynchronisedSlotWritesArePublished) {
   // The sweep's emit pass writes each explicit pair's mask into a
-  // precomputed overlay slot with no per-slot synchronisation; the pool's
-  // join must publish those plain writes to the caller. Model exactly that
-  // access pattern.
-  ThreadPool pool(8);
+  // precomputed overlay slot with no per-slot synchronisation; the
+  // ParallelFor join must publish those plain writes to the caller. Model
+  // exactly that access pattern.
   const size_t count = 4'096;
   std::vector<uint64_t> slots(count, 0);
-  pool.ParallelFor(count, 1, [&slots](size_t begin, size_t end) {
+  ParallelFor(8, count, [&slots](size_t begin, size_t end, size_t) {
     for (size_t i = begin; i < end; ++i) slots[i] = i * 2 + 1;
   });
   for (size_t i = 0; i < count; ++i) {
@@ -60,7 +57,7 @@ TEST(TsanStressTest, UnsynchronisedSlotWritesArePublished) {
 }
 
 TEST(TsanStressTest, ConcurrentEnginesShareInputRegions) {
-  // Several engines, each with its own parallel pool, hammer the same
+  // Several engines, each with its own fork-joins, hammer the same
   // (read-only) region vector concurrently — the CARDIRECT server-side
   // usage pattern. Every run must reproduce the serial loop.
   Rng rng(0x57E55);

@@ -13,9 +13,7 @@
 // project builds, and two of the five checks (obs-macro-side-effect and
 // the suppression comments) are *only* expressible at token level because
 // the constructs they police vanish from the AST under CARDIR_OBS=OFF /
-// macro expansion. An optional clang libTooling frontend (clang_frontend.cc,
-// built only where clang dev headers exist) re-implements the type-driven
-// checks with AST matchers for extra precision.
+// macro expansion.
 
 #ifndef CARDIR_TOOLS_ANALYZER_ANALYZER_CORE_H_
 #define CARDIR_TOOLS_ANALYZER_ANALYZER_CORE_H_

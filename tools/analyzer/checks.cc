@@ -313,7 +313,7 @@ const std::set<std::string>& ScratchTypes() {
 }
 
 // APIs that may run or keep a callable beyond the enclosing scope. The
-// synchronous pool entry point (ParallelFor) is deliberately absent: the
+// synchronous fork-join (ParallelFor) is deliberately absent: the
 // per-participant SweepScratch capture inside it is the engine's sanctioned
 // ownership pattern.
 const std::set<std::string>& EscapeSinks() {
