@@ -448,7 +448,7 @@ int Main(int argc, char** argv) {
     }
 
     // Delta maintenance (engine/delta_engine.h): single-mutation latency
-    // against a store adopted from one sweep build. Each row times
+    // on the engine one sweep build leaves. Each row times
     // `kDeltaMutations` mutations of one kind and reports the median (ms)
     // and 99th percentile (p99_ms) of that distribution. --repeat N runs N
     // rounds of the three kinds and each row keeps the round with the
@@ -463,13 +463,18 @@ int Main(int argc, char** argv) {
     // the configuration from scratch.
     {
       constexpr int kDeltaMutations = 200;
-      auto built = DeltaEngine::Build(regions);
+      auto built = DeltaEngine::Build(RegionPointers(regions));
       if (!built.ok()) {
         std::cerr << "delta engine build failed: " << built.status() << "\n";
         std::exit(1);
       }
       DeltaEngine engine = std::move(built.value());
       Rng delta_rng(0xDE0000u + static_cast<uint64_t>(n));
+      // The engine borrows geometry: `live` is the owner's copy it reads
+      // partners from, updated outside the timed section.
+      std::vector<Region> live = regions;
+      const DeltaEngine::RegionAccessor region_at =
+          [&live](size_t j) -> const Region& { return live[j]; };
 
       // One timed mutation of `kind`; geometry is built outside the timed
       // section. Move shifts one region to a nearby spot; insert adds a
@@ -480,20 +485,27 @@ int Main(int argc, char** argv) {
       const auto mutate = [&](Kind kind) {
         const size_t id = delta_rng.NextBelow(engine.regions());
         Result<DeltaResult> applied = Status::Internal("unset");
-        std::chrono::steady_clock::time_point start;
+        double ms = 0;
         if (kind == kRemove) {
-          start = std::chrono::steady_clock::now();
+          const auto start = std::chrono::steady_clock::now();
           applied = engine.Remove(id);
+          ms = MsSince(start);
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(id));
         } else {
           const double reach = kind == kMove ? 40.0 : 60.0;
-          Region region = Translated(engine.region(id),
+          Region region = Translated(live[id],
                                      delta_rng.NextDouble(-reach, reach),
                                      delta_rng.NextDouble(-reach, reach));
-          start = std::chrono::steady_clock::now();
-          applied = kind == kMove ? engine.Move(id, std::move(region))
-                                  : engine.Insert(std::move(region));
+          const auto start = std::chrono::steady_clock::now();
+          applied = kind == kMove ? engine.Move(id, region, region_at)
+                                  : engine.Insert(region, region_at);
+          ms = MsSince(start);
+          if (kind == kMove) {
+            live[id] = std::move(region);
+          } else {
+            live.push_back(std::move(region));
+          }
         }
-        const double ms = MsSince(start);
         if (!applied.ok()) {
           std::cerr << "delta mutation failed: " << applied.status() << "\n";
           std::exit(1);

@@ -1,7 +1,8 @@
 # Sanitizer build tiers.
 #
 # Set CARDIR_SANITIZE to pick a tier (the CMakePresets.json presets do):
-#   asan-ubsan — AddressSanitizer + UndefinedBehaviorSanitizer (gcc/clang)
+#   asan-ubsan — AddressSanitizer + UndefinedBehaviorSanitizer (gcc/clang),
+#                with libstdc++'s bounds-checked containers
 #   tsan       — ThreadSanitizer, for the thread-pool/batch-engine suite
 #   msan       — MemorySanitizer (clang only; needs instrumented stdlib for
 #                a clean run, so it is the optional tier)
@@ -33,6 +34,10 @@ elseif(CARDIR_SANITIZE STREQUAL "asan-ubsan")
       -g)
   add_compile_options(${_cardir_san_flags})
   add_link_options(${_cardir_san_flags})
+  # Bounds-checked standard containers: positions index Configuration's
+  # regions, the store's rows and the delta engine's partner accessor, and
+  # ASan does not see an index that lands inside a vector's capacity.
+  add_compile_definitions(_GLIBCXX_ASSERTIONS)
   list(APPEND CARDIR_SANITIZER_ENV
       "ASAN_OPTIONS=detect_stack_use_after_return=1:strict_string_checks=1:detect_invalid_pointer_pairs=2"
       "LSAN_OPTIONS=suppressions=${_cardir_suppressions_dir}/lsan.supp"

@@ -9,15 +9,18 @@ namespace cardir {
 Result<ConstraintNetwork> ParseConstraintFile(std::string_view text) {
   ConstraintNetwork network;
   std::map<std::string, int> variables;
-  auto variable_of = [&network, &variables](const std::string& name) {
+  int line_number = 0;
+  auto variable_of = [&](const std::string& name) -> Result<int> {
     auto it = variables.find(name);
-    if (it == variables.end()) {
-      it = variables.emplace(name, network.AddVariable(name)).first;
+    if (it != variables.end()) return it->second;
+    if (network.variable_count() == kMaxConstraintVariables) {
+      return Status::ParseError(
+          StrFormat("line %d: more than %d variables", line_number,
+                    kMaxConstraintVariables));
     }
-    return it->second;
+    return variables.emplace(name, network.AddVariable(name)).first->second;
   };
 
-  int line_number = 0;
   for (const std::string& raw_line : StrSplit(text, '\n')) {
     ++line_number;
     std::string_view line(raw_line);
@@ -55,8 +58,8 @@ Result<ConstraintNetwork> ParseConstraintFile(std::string_view text) {
     }
     // Sequenced explicitly: argument evaluation order is unspecified, and
     // variable creation order must follow appearance order.
-    const int primary_var = variable_of(primary);
-    const int reference_var = variable_of(reference);
+    CARDIR_ASSIGN_OR_RETURN(const int primary_var, variable_of(primary));
+    CARDIR_ASSIGN_OR_RETURN(const int reference_var, variable_of(reference));
     const Status added =
         network.AddConstraint(primary_var, reference_var, *relation);
     if (!added.ok()) {

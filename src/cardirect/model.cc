@@ -83,11 +83,11 @@ Status Configuration::AddRegion(AnnotatedRegion region) {
     return Status::InvalidArgument("region '" + region.id +
                                    "': " + status.message());
   }
-  if (relation_store() != nullptr) {
+  if (delta_.has_value()) {
     // Keep the computed store complete: resolve the new region's pairs
     // incrementally instead of invalidating n·(n−1) relations.
-    PromoteToDelta();
-    Result<DeltaResult> applied = delta_->Insert(region.geometry);
+    Result<DeltaResult> applied =
+        delta_->Insert(region.geometry, GeometryAt());
     if (!applied.ok()) return applied.status();
   }
   regions_.push_back(std::move(region));
@@ -108,10 +108,9 @@ Status Configuration::RemoveRegion(const std::string& id) {
   if (index == regions_.size()) {
     return Status::NotFound("no region with id '" + id + "'");
   }
-  if (relation_store() != nullptr) {
+  if (delta_.has_value()) {
     // Delta-maintain the computed store: only the removed region's pairs
     // go, everything else keeps its stored relation.
-    PromoteToDelta();
     Result<DeltaResult> applied = delta_->Remove(index);
     if (!applied.ok()) return applied.status();
   } else {
@@ -137,10 +136,10 @@ Status Configuration::AddPolygonToRegion(const std::string& id,
   CARDIR_RETURN_IF_ERROR(polygon.Validate());
   AnnotatedRegion& region = regions_[index];
   region.geometry.AddPolygon(std::move(polygon));
-  if (relation_store() != nullptr) {
+  if (delta_.has_value()) {
     // Re-resolve just this region's dirty pairs against the grown geometry.
-    PromoteToDelta();
-    Result<DeltaResult> applied = delta_->Move(index, region.geometry);
+    Result<DeltaResult> applied =
+        delta_->Move(index, region.geometry, GeometryAt());
     if (!applied.ok()) return applied.status();
     return Status::Ok();
   }
@@ -176,7 +175,6 @@ Status Configuration::SetRelations(std::vector<RelationRecord> relations) {
                               "' more than once");
   }
   relations_ = std::move(relations);
-  store_.reset();
   delta_.reset();
   return Status::Ok();
 }
@@ -205,26 +203,19 @@ Status Configuration::ComputeAllRelations(const EngineOptions& options,
   // Sweep join instead of all-pairs: the result is held as profile +
   // explicit-pair overlay (indices parallel regions_), not as n·(n−1)
   // id-keyed records — at engine scale the records themselves were the
-  // dominant allocation.
-  Result<RelationStore> store =
-      ComputeRelationStore(geometries, options, stats);
-  if (!store.ok()) return store.status();
-  store_ = std::move(*store);
+  // dominant allocation. The engine keeps the sweep's plan for the edits.
+  // Drop the old engine first: two live engines left heap holes that
+  // raised repeated computes' peak resident set (DESIGN §3.27).
   delta_.reset();
+  Result<DeltaEngine> engine = DeltaEngine::Build(geometries, options, stats);
+  if (!engine.ok()) return engine.status();
+  delta_ = std::move(*engine);
   relations_.clear();
   return Status::Ok();
 }
 
-void Configuration::PromoteToDelta() {
-  if (delta_.has_value() || !store_.has_value()) return;
-  std::vector<Region> geometries;
-  geometries.reserve(regions_.size());
-  for (const AnnotatedRegion& region : regions_) {
-    geometries.push_back(region.geometry);
-  }
-  delta_.emplace(
-      DeltaEngine::Adopt(std::move(*store_), std::move(geometries)));
-  store_.reset();
+DeltaEngine::RegionAccessor Configuration::GeometryAt() const {
+  return [this](size_t j) -> const Region& { return regions_[j].geometry; };
 }
 
 std::optional<CardinalRelation> Configuration::StoredRelation(

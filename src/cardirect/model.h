@@ -56,16 +56,16 @@ class Configuration {
   const std::vector<AnnotatedRegion>& regions() const { return regions_; }
 
   /// The *explicit* relation records — ones loaded from XML. Computed
-  /// relations live in the RelationStore instead (45 bytes/region + 2 bytes
-  /// per crossing pair, vs ~56 bytes per pair here — n·(n−1) records defeat
-  /// the engine's sub-quadratic memory); consumers that want "all stored
-  /// relations" regardless of provenance iterate ForEachRelation / count
-  /// relation_count.
+  /// relations live in the delta engine's store instead (45 bytes/region +
+  /// 2 bytes per crossing pair, vs ~56 bytes per pair here — n·(n−1)
+  /// records defeat the engine's sub-quadratic memory); consumers that want
+  /// "all stored relations" regardless of provenance iterate
+  /// ForEachRelation / count relation_count.
   const std::vector<RelationRecord>& relations() const { return relations_; }
 
   /// Stored relations, from whichever representation holds them: the
-  /// computed (possibly delta-maintained) RelationStore when present, the
-  /// explicit records otherwise.
+  /// computed, delta-maintained RelationStore when present, the explicit
+  /// records otherwise.
   size_t relation_count() const {
     const RelationStore* store = relation_store();
     return store != nullptr ? store->pair_count() : relations_.size();
@@ -91,15 +91,14 @@ class Configuration {
     }
   }
 
-  /// The computed relation store — freshly computed or delta-maintained —
-  /// or nullptr when relations were loaded from XML (telemetry + tests).
+  /// The computed relation store (the delta engine's), or nullptr when
+  /// none was computed or relations were loaded from XML (telemetry).
   const RelationStore* relation_store() const {
-    if (delta_.has_value()) return &delta_->store();
-    return store_.has_value() ? &*store_ : nullptr;
+    return delta_.has_value() ? &delta_->store() : nullptr;
   }
 
-  /// The incremental engine backing the store, engaged once a computed
-  /// configuration is mutated (test/telemetry hook).
+  /// The incremental engine holding the computed relations, engaged by
+  /// every successful ComputeAllRelations (test/telemetry hook).
   const DeltaEngine* delta_engine() const {
     return delta_.has_value() ? &*delta_ : nullptr;
   }
@@ -138,13 +137,16 @@ class Configuration {
       const std::string& color) const;
 
   /// Recomputes all pairwise cardinal direction relations and stores them
-  /// (the paper's "compute their relationships" action — Fig. 12) as a
-  /// RelationStore covering the n·(n−1) ordered pairs in canonical
-  /// (primary, reference) order. Runs on the sweep-join engine
+  /// (the paper's "compute their relationships" action — Fig. 12) in a
+  /// DeltaEngine whose RelationStore covers the n·(n−1) ordered pairs in
+  /// canonical (primary, reference) order. Runs on the sweep-join engine
   /// (src/engine/sweep_join.cc): implicit box resolution plus optional
   /// parallel row strips; the stored relations are identical for every
-  /// `options.threads` value. Replaces any explicit records. `stats`, when
-  /// non-null, receives the engine instrumentation.
+  /// `options.threads` value. The engine keeps the sweep's plan, so later
+  /// edits are delta-maintained from the start. Replaces any explicit
+  /// records; drops the previous computed relations first, also when the
+  /// engine then rejects `options`. `stats`, when non-null, receives the
+  /// engine instrumentation.
   Status ComputeAllRelations(const EngineOptions& options = EngineOptions(),
                              EngineStats* stats = nullptr);
 
@@ -162,17 +164,15 @@ class Configuration {
       const std::string& primary_id, const std::string& reference_id) const;
 
   /// Replaces the stored relations with explicit records (used by the XML
-  /// reader), kept in the given order. Drops any computed store / delta
-  /// engine. Fails, changing nothing, with NotFound when a record names an
-  /// unknown region and with ParseError naming both ids when two records
-  /// state one ordered pair. Two id lookups per record plus one sort.
+  /// reader), kept in the given order. Drops any delta engine. Fails,
+  /// changing nothing, with NotFound when a record names an unknown region
+  /// and with ParseError naming both ids when two records state one ordered
+  /// pair. Two id lookups per record plus one sort.
   Status SetRelations(std::vector<RelationRecord> relations);
 
  private:
-  // Hands the computed store (if any) to a DeltaEngine so a mutation can
-  // update it in place instead of recomputing or dropping it. No-op when a
-  // delta engine is already active or nothing was computed.
-  void PromoteToDelta();
+  // The delta engine's partner accessor over this configuration's regions_.
+  DeltaEngine::RegionAccessor GeometryAt() const;
 
   // The position of the region with `id` in regions_, or regions_.size().
   size_t PositionOf(const std::string& id) const;
@@ -192,12 +192,11 @@ class Configuration {
   // the configuration. Positions are the indices the store and delta
   // engine use.
   std::vector<uint32_t> id_slots_;
-  // Stored relations: at most one representation is active. `store_` right
-  // after ComputeAllRelations (indices parallel regions_); `delta_` once a
-  // computed configuration is mutated (it owns the maintained store);
-  // `relations_` after an XML load.
+  // Stored relations: at most one representation is active. `delta_` after
+  // ComputeAllRelations (indices parallel regions_; it owns the maintained
+  // store and the sweep's plan, and borrows geometry from regions_ through
+  // GeometryAt); `relations_` after an XML load.
   std::vector<RelationRecord> relations_;
-  std::optional<RelationStore> store_;
   std::optional<DeltaEngine> delta_;
 };
 

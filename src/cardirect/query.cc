@@ -101,6 +101,10 @@ class QueryParser {
     CARDIR_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
     for (;;) {
       CARDIR_ASSIGN_OR_RETURN(std::string var, ExpectIdent("variable name"));
+      if (query.variables.size() == kMaxQueryVariables) {
+        return Status::ParseError(StrFormat(
+            "query declares more than %zu variables", kMaxQueryVariables));
+      }
       if (std::find(query.variables.begin(), query.variables.end(), var) !=
           query.variables.end()) {
         return Status::ParseError("duplicate variable '" + var + "'");

@@ -31,6 +31,7 @@
 #ifndef CARDIR_CARDIRECT_QUERY_H_
 #define CARDIR_CARDIRECT_QUERY_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,6 +98,10 @@ struct PercentCondition {
   double value = 0.0;
 };
 
+/// The most head variables a query may declare: evaluation recurses once
+/// per head variable, so a longer head is a ParseError.
+inline constexpr size_t kMaxQueryVariables = 64;
+
 /// A parsed query.
 struct Query {
   std::vector<std::string> variables;
@@ -109,8 +114,8 @@ struct Query {
   std::vector<PercentCondition> percent_conditions;
 
   /// Parses the concrete syntax above. All condition variables must be
-  /// declared in the head; unknown tile names and malformed atoms are
-  /// rejected.
+  /// declared in the head, which holds at most kMaxQueryVariables; unknown
+  /// tile names and malformed atoms are rejected.
   static Result<Query> Parse(std::string_view text);
 };
 

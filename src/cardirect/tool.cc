@@ -35,7 +35,7 @@ constexpr const char* kUsage =
     "                     (SIGSEGV/SIGABRT/SIGBUS) or on clean exit\n"
     "  --profile=FILE     sample wall-clock stacks while the command runs\n"
     "                     and write collapsed (flamegraph) lines to FILE\n"
-    "  --profile-hz=N     sampling rate for --profile (default 997)\n"
+    "  --profile-hz=N     sampling rate for --profile (default 97)\n"
     "  create <out.xml> [name] [image]      start an empty configuration\n"
     "  add-region <xml> <id> <color> <x,y> <x,y> <x,y>...\n"
     "                                       annotate a polygon region\n"
@@ -58,8 +58,11 @@ constexpr const char* kUsage =
     "  demo <out.xml>                       write a sample configuration\n"
     "  check <constraints.txt>              decide consistency of a\n"
     "                                       cardinal-direction constraint\n"
-    "                                       network; prints a model\n"
+    "                                       network (at most 32 variables);\n"
+    "                                       prints a model\n"
     "  tables                               print the reasoning tables\n";
+static_assert(kMaxConstraintVariables == 32,
+              "the check line of kUsage states the variable limit");
 
 int Fail(std::ostream& err, const Status& status) {
   err << "cardirect: " << status << "\n";

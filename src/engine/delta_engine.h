@@ -27,17 +27,23 @@
 // randomized mutation-script oracle in tests/engine/delta_engine_test.cc
 // holds the two against each other).
 //
+// The engine keeps the sweep's store and plan (Build) and no geometry:
+// Insert and Move borrow the mutated region and read a dirty partner's
+// geometry through the caller's accessor.
+//
 // Locking discipline: one mutex serializes Insert/Move/Remove/Digest; the
-// per-engine DeltaScratch is reused under that lock. `store()` returns the
-// live store without locking — callers synchronize reads against mutations
-// themselves (Configuration is single-threaded; concurrent readers take
-// Digest() or copy the engine).
+// per-engine DeltaScratch and the borrowed geometry are read under that
+// lock, and the caller keeps the geometry it hands out unchanged during
+// the call. `store()` returns the live store without locking — callers
+// synchronize reads against mutations themselves (Configuration is
+// single-threaded; concurrent readers take Digest() or copy the engine).
 
 #ifndef CARDIR_ENGINE_DELTA_ENGINE_H_
 #define CARDIR_ENGINE_DELTA_ENGINE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -93,6 +99,10 @@ struct DeltaScratch {
 /// Incrementally maintained all-pairs relation store (see file comment).
 class DeltaEngine {
  public:
+  /// Region j's current geometry, for the dirty partners of an Insert or
+  /// Move (never asked for the mutated region).
+  using RegionAccessor = std::function<const Region&(size_t)>;
+
   DeltaEngine() = default;
   ~DeltaEngine();
   DeltaEngine(const DeltaEngine& other);
@@ -100,26 +110,25 @@ class DeltaEngine {
   DeltaEngine(DeltaEngine&& other) noexcept;
   DeltaEngine& operator=(DeltaEngine&& other) noexcept;
 
-  /// Builds the initial store with the batch sweep join, then adopts it.
-  /// Fails like ComputeRelationStore (invalid region). `stats`, when
-  /// non-null, receives the batch run's instrumentation.
-  static Result<DeltaEngine> Build(std::vector<Region> regions,
+  /// Runs the sweep join over `regions` (borrowed for the call, e.g.
+  /// RegionPointers(v)) and keeps its store, equal to ComputeRelationStore's,
+  /// and its plan. Fails like ComputeRelationStore. `stats`, when non-null,
+  /// receives the batch run's instrumentation.
+  static Result<DeltaEngine> Build(const std::vector<const Region*>& regions,
                                    const EngineOptions& options = {},
                                    EngineStats* stats = nullptr);
 
-  /// Adopts an already-computed store and the geometries it was computed
-  /// from (regions[i] must be the region profiled at index i) — the
-  /// promotion path Configuration uses so a computed store never pays a
-  /// second batch run.
-  static DeltaEngine Adopt(RelationStore store, std::vector<Region> regions);
-
   /// Appends `region` as index regions() and resolves its pairs against
-  /// the existing set. Fails on invalid geometry (engine untouched).
-  Result<DeltaResult> Insert(Region region);
+  /// the existing set, reading partner j's geometry as `region_at(j)`.
+  /// Fails on invalid geometry (engine untouched).
+  Result<DeltaResult> Insert(const Region& region,
+                             const RegionAccessor& region_at);
 
-  /// Replaces region `id`'s geometry and re-resolves exactly the dirty
-  /// pairs of its old ∪ new box. Fails on bad id / invalid geometry.
-  Result<DeltaResult> Move(size_t id, Region geometry);
+  /// Region `id` now has `geometry`: re-resolves exactly the dirty pairs
+  /// of its old ∪ new box, reading partner j's geometry as `region_at(j)`.
+  /// Fails on bad id / invalid geometry.
+  Result<DeltaResult> Move(size_t id, const Region& geometry,
+                           const RegionAccessor& region_at);
 
   /// Removes region `id`; indices above it renumber down by one.
   Result<DeltaResult> Remove(size_t id);
@@ -129,46 +138,42 @@ class DeltaEngine {
   /// the lock.
   uint64_t Digest() const;
 
-  size_t regions() const { return regions_.size(); }
+  size_t regions() const { return store_.regions(); }
 
   /// The live store (unsynchronized — see the locking discipline above).
   const RelationStore& store() const { return store_; }
 
-  /// The current geometry of region `id`.
-  const Region& region(size_t id) const { return regions_[id]; }
-
-  /// Footprint of the store plus the delta side-structures (indexes,
-  /// polygon extents, scratch).
+  /// Footprint of the store, the plan and the scratch.
   size_t bytes() const;
 
  private:
-  void GatherAffected(size_t id, bool all_rows, bool use_old, double old_lo_x,
-                      double old_hi_x, double old_lo_y, double old_hi_y,
-                      bool use_new, const Box& new_box);
+  void GatherAffected(size_t id, bool all_rows, const Box& old_box,
+                      const Box& new_box);
   // The stages of one mutation, over the dirty partners in
   // scratch_.affected. SampleColumn records (j, id) explicitness before the
-  // profile changes; ResolveDirty re-resolves row id and column id against
-  // the updated profile (span delta.resolve); PatchColumn applies column
-  // id's changed pairs; PatchDirty also rewrites row id and compacts
-  // (span delta.patch).
+  // profile changes; ResolveDirty re-resolves row id (primary `geometry`)
+  // and column id (primaries from `region_at`) against the updated profile
+  // (span delta.resolve); PatchColumn applies column id's changed pairs;
+  // PatchDirty also rewrites row id and compacts (span delta.patch);
+  // ResolveAndPatch runs the last two for Insert and Move and reports the
+  // apply as `event`.
   void SampleColumn(size_t id);
-  void ResolveDirty(size_t id, DeltaResult* result);
+  void ResolveDirty(size_t id, const Region& geometry,
+                    const RegionAccessor& region_at, DeltaResult* result);
   void PatchColumn(size_t id);
   void PatchDirty(size_t id);
+  DeltaResult ResolveAndPatch(size_t id, const Region& geometry,
+                              const RegionAccessor& region_at,
+                              uint64_t start_us, const char* event);
   // Index-health gauges: delta.index.pending (the larger axis's dead +
   // overflow entries) and delta.index.rebuild_threshold.
   void PublishIndexHealth() const;
   void SetDegenerate(size_t id, bool degenerate);
-  void RechargeAux();
-  size_t aux_bytes() const;
+  void RechargeAux();  // Charges the plan and scratch to mem.delta_engine.
 
   mutable std::mutex mu_;
-  std::vector<Region> regions_;
-  std::vector<Box> boxes_;
   RelationStore store_;
-  IntervalOverlapIndex x_index_, y_index_;
-  std::vector<uint32_t> degenerate_ids_;  // Ascending; parity with sweep.
-  PolygonBoxes poly_;
+  SweepPlan plan_;
   DeltaScratch scratch_;
   size_t aux_charged_ = 0;  // Live bytes charged to mem.delta_engine.
 };

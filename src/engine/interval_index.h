@@ -206,6 +206,20 @@ struct PolygonBoxes {
   }
 };
 
+/// The sweep's plan (engine/sweep_join.cc), which the DeltaEngine keeps and
+/// updates: the overlap indexes, the ascending degenerate ids, the
+/// per-polygon boxes.
+struct SweepPlan {
+  IntervalOverlapIndex x_index, y_index;
+  std::vector<uint32_t> degenerate_ids;
+  PolygonBoxes poly;
+
+  size_t bytes() const {
+    return x_index.bytes() + y_index.bytes() + poly.bytes() +
+           degenerate_ids.capacity() * sizeof(uint32_t);
+  }
+};
+
 /// Resolves the relation mask of one *explicit* pair (primary i, reference
 /// j) — `code` must be non-resolvable (RelationStore::IsExplicit). Exactly
 /// the sweep emit pass's per-pair resolution: degenerate boxes and

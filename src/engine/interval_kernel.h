@@ -61,6 +61,9 @@ struct RegionProfile {
   std::vector<uint8_t> cross_override;
 
   size_t size() const { return min_x.size(); }
+  Box box(size_t i) const {
+    return Box(min_x[i], min_y[i], max_x[i], max_y[i]);
+  }
 
   static RegionProfile FromBoxes(const std::vector<Box>& boxes);
 };

@@ -99,6 +99,7 @@ inline uint64_t MixPairDigest(size_t primary, size_t reference,
 }
 
 class RelationStore;
+struct SweepPlan;
 
 /// Computes the all-pairs relation store of `regions` with the plane-sweep
 /// spatial join (engine/sweep_join.cc): only pairs whose boxes interact on
@@ -115,6 +116,22 @@ Result<RelationStore> ComputeRelationStore(
 Result<RelationStore> ComputeRelationStore(
     const std::vector<Region>& regions, const EngineOptions& options = {},
     EngineStats* stats = nullptr);
+
+/// The sweep join behind ComputeRelationStore, for a caller that keeps the
+/// run's plan (DeltaEngine::Build): also fills `*plan`, even below two
+/// regions, where no pair is swept.
+Result<RelationStore> SweepJoin(const std::vector<const Region*>& regions,
+                                const EngineOptions& options,
+                                EngineStats* stats, SweepPlan* plan);
+
+/// Borrowed pointers to `regions`, in order: the form the sweep takes.
+inline std::vector<const Region*> RegionPointers(
+    const std::vector<Region>& regions) {
+  std::vector<const Region*> pointers;
+  pointers.reserve(regions.size());
+  for (const Region& region : regions) pointers.push_back(&region);
+  return pointers;
+}
 
 /// The relation between every ordered pair of an engine run's regions,
 /// stored as box profile + explicit-pair overlay (see file comment).
@@ -342,8 +359,9 @@ class RelationStore {
   }
 
  private:
-  friend Result<RelationStore> ComputeRelationStore(
-      const std::vector<const Region*>&, const EngineOptions&, EngineStats*);
+  friend Result<RelationStore> SweepJoin(const std::vector<const Region*>&,
+                                         const EngineOptions&, EngineStats*,
+                                         SweepPlan*);
   friend class DeltaEngine;
 
   // Patch lists longer than this compact into a loose row.

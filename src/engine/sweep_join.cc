@@ -79,18 +79,11 @@ struct SweepScratch {
   CdrScratch cdr;
 };
 
-std::vector<const Region*> RegionPointers(const std::vector<Region>& regions) {
-  std::vector<const Region*> pointers;
-  pointers.reserve(regions.size());
-  for (const Region& region : regions) pointers.push_back(&region);
-  return pointers;
-}
-
 }  // namespace
 
-Result<RelationStore> ComputeRelationStore(
-    const std::vector<const Region*>& regions, const EngineOptions& options,
-    EngineStats* stats) {
+Result<RelationStore> SweepJoin(const std::vector<const Region*>& regions,
+                                const EngineOptions& options,
+                                EngineStats* stats, SweepPlan* plan) {
   const size_t n = regions.size();
   if (stats != nullptr) *stats = EngineStats();
   if (options.threads > kMaxEngineThreads) {
@@ -123,6 +116,28 @@ Result<RelationStore> ComputeRelationStore(
   RelationStore store;
   store.profile_ = RegionProfile::FromBoxes(boxes);
   store.row_offsets_.assign(n + 1, 0);
+  const RegionProfile& profile = store.profile_;
+
+  // Plan: the per-axis overlap indexes over the non-degenerate boxes, the
+  // degenerate id list (explicit against every primary, enumerated
+  // directly), and the per-polygon box SoA for the shortcut — the caller's
+  // plan, built even below two regions, where a DeltaEngine grows from it.
+  {
+    CARDIR_TRACE_SPAN("sweep.plan");
+    CARDIR_RECORD_EVENT(kPhase, "sweep.plan", 1, n);
+    if constexpr (kAuditEnabled) {
+      CARDIR_RETURN_IF_ERROR(ValidateClassKernelOnce());
+    }
+    plan->x_index.Build(profile.min_x, profile.max_x, profile.cross_override);
+    plan->y_index.Build(profile.min_y, profile.max_y, profile.cross_override);
+    plan->degenerate_ids.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (profile.cross_override[i] != 0) {
+        plan->degenerate_ids.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    plan->poly.Build(regions);
+  }
   if (n < 2) {
     store.charge_ = RelationStore::MemCharge(store.bytes());
     return store;
@@ -130,29 +145,6 @@ Result<RelationStore> ComputeRelationStore(
 
   CARDIR_METRIC_COUNT("engine.runs", 1);
   CARDIR_METRIC_COUNT("engine.regions", n);
-  const RegionProfile& profile = store.profile_;
-
-  // Plan: the per-axis overlap indexes over the non-degenerate boxes, the
-  // degenerate id list (explicit against every primary, enumerated
-  // directly), and the per-polygon box SoA for the shortcut.
-  IntervalOverlapIndex x_index, y_index;
-  std::vector<uint32_t> degenerate_ids;
-  PolygonBoxes poly;
-  {
-    CARDIR_TRACE_SPAN("sweep.plan");
-    CARDIR_RECORD_EVENT(kPhase, "sweep.plan", 1, n);
-    if constexpr (kAuditEnabled) {
-      CARDIR_RETURN_IF_ERROR(ValidateClassKernelOnce());
-    }
-    x_index.Build(profile.min_x, profile.max_x, profile.cross_override);
-    y_index.Build(profile.min_y, profile.max_y, profile.cross_override);
-    for (size_t i = 0; i < n; ++i) {
-      if (profile.cross_override[i] != 0) {
-        degenerate_ids.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    poly.Build(regions);
-  }
 
   // Invokes `fn(j)` for every candidate reference of row i — the
   // strict-overlap union plus the degenerate ids — in ascending id order.
@@ -172,9 +164,9 @@ Result<RelationStore> ComputeRelationStore(
       return;
     }
     const auto mark = [&ws](uint32_t j) { ws.bits.Mark(j); };
-    x_index.ForEachOverlap(profile.min_x[i], profile.max_x[i], mark);
-    y_index.ForEachOverlap(profile.min_y[i], profile.max_y[i], mark);
-    for (const uint32_t j : degenerate_ids) mark(j);
+    plan->x_index.ForEachOverlap(profile.min_x[i], profile.max_x[i], mark);
+    plan->y_index.ForEachOverlap(profile.min_y[i], profile.max_y[i], mark);
+    for (const uint32_t j : plan->degenerate_ids) mark(j);
     ws.bits.Clear(static_cast<uint32_t>(i));  // Never self-paired.
     ws.bits.Drain(fn);
   };
@@ -255,7 +247,7 @@ Result<RelationStore> ComputeRelationStore(
               // argument).
               overlay[cursor++] =
                   ResolveExplicitMask(code, *regions[i], boxes[j], profile, i,
-                                      j, poly, &cdr_metrics, &ws.cdr);
+                                      j, plan->poly, &cdr_metrics, &ws.cdr);
               ++emitted;
             });
           }
@@ -266,12 +258,12 @@ Result<RelationStore> ComputeRelationStore(
   }
 
   // Sweep-scratch telemetry: the row bitsets plus the two overlap indexes
-  // reach their maximum extent by the end of the run and die with this
-  // scope — charge and release so the mem.sweep_scratch peak records the
-  // run's high-water while live returns to zero. CdrScratch lanes are
-  // charged by mem.edge_soa continuously.
+  // reach their maximum extent by the end of the run (a DeltaEngine keeps
+  // the indexes under mem.delta_engine) — charge and release so the
+  // mem.sweep_scratch peak records the run's high-water while live returns
+  // to zero. CdrScratch lanes are charged by mem.edge_soa continuously.
   {
-    size_t scratch_bytes = x_index.bytes() + y_index.bytes();
+    size_t scratch_bytes = plan->x_index.bytes() + plan->y_index.bytes();
     for (const SweepScratch& ws : scratch) {
       scratch_bytes += ws.bits.bytes();
     }
@@ -310,6 +302,13 @@ Result<RelationStore> ComputeRelationStore(
     stats->threads_used = threads;
   }
   return store;
+}
+
+Result<RelationStore> ComputeRelationStore(
+    const std::vector<const Region*>& regions, const EngineOptions& options,
+    EngineStats* stats) {
+  SweepPlan plan;
+  return SweepJoin(regions, options, stats, &plan);
 }
 
 Result<RelationStore> ComputeRelationStore(const std::vector<Region>& regions,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/compute_cdr.h"
+#include "util/string_util.h"
 
 namespace cardir {
 namespace {
@@ -67,6 +68,29 @@ TEST(ConstraintFileTest, InconsistentNetworkDetected) {
   auto model = network->Solve();
   EXPECT_FALSE(model.ok());
   EXPECT_EQ(model.status().code(), StatusCode::kInconsistent);
+}
+
+// A chain over `variables` distinct variables: line k is "v<k-1> N v<k>".
+std::string Chain(int variables) {
+  std::string text;
+  for (int v = 1; v < variables; ++v) {
+    text += StrFormat("v%d N v%d\n", v - 1, v);
+  }
+  return text;
+}
+
+TEST(ConstraintFileTest, VariableCountIsBounded) {
+  auto at_limit = ParseConstraintFile(Chain(kMaxConstraintVariables));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status();
+  EXPECT_EQ(at_limit->variable_count(), kMaxConstraintVariables);
+  // Line kMaxConstraintVariables names one variable too many.
+  auto over = ParseConstraintFile(Chain(kMaxConstraintVariables + 1));
+  ASSERT_EQ(over.status().code(), StatusCode::kParseError);
+  EXPECT_NE(over.status().message().find(
+                StrFormat("line %d: more than %d variables",
+                          kMaxConstraintVariables, kMaxConstraintVariables)),
+            std::string::npos)
+      << over.status();
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "engine/parallel_for.h"
 #include "util/random.h"
 
 namespace cardir {
@@ -84,6 +87,11 @@ TEST(ConfigurationTest, ComputeAllRelationsProducesAllOrderedPairs) {
   ASSERT_TRUE(ba.has_value());
   EXPECT_EQ(ba->ToString(), "S");
   EXPECT_FALSE(config.StoredRelation("a", "missing").has_value());
+  // The old engine is dropped before the sweep, also when it then fails.
+  EXPECT_EQ(config.ComputeAllRelations({.threads = kMaxEngineThreads + 1})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(config.relation_store(), nullptr);
 }
 
 TEST(ConfigurationTest, RemoveRegionDropsItsRelations) {
@@ -152,7 +160,7 @@ TEST(ConfigurationTest, AddRegionAfterComputeMaintainsStoreIncrementally) {
   ASSERT_TRUE(config.AddRegion(MakeRegion("a", "red", 0, 0, 10, 10)).ok());
   ASSERT_TRUE(config.AddRegion(MakeRegion("b", "blue", 4, 4, 14, 14)).ok());
   ASSERT_TRUE(config.ComputeAllRelations().ok());
-  EXPECT_EQ(config.delta_engine(), nullptr);
+  EXPECT_NE(config.delta_engine(), nullptr);
 
   // The insert rides the delta engine; no recompute, no explicit records.
   ASSERT_TRUE(config.AddRegion(MakeRegion("c", "green", 2, -9, 12, -1)).ok());
@@ -165,6 +173,21 @@ TEST(ConfigurationTest, AddRegionAfterComputeMaintainsStoreIncrementally) {
   EXPECT_EQ(config.AddRegion(MakeRegion("c", "red", 0, 0, 1, 1)).code(),
             StatusCode::kAlreadyExists);
   EXPECT_EQ(config.relation_count(), 6u);
+  ExpectMatchesRecompute(config);
+}
+
+// Below two regions there is no pair, but the configuration still holds an
+// engine, and regions added later are delta-maintained.
+TEST(ConfigurationTest, ComputeBelowTwoRegionsHoldsAnEngine) {
+  Configuration config;
+  ASSERT_TRUE(config.ComputeAllRelations().ok());
+  EXPECT_NE(config.delta_engine(), nullptr);
+  ASSERT_TRUE(config.AddRegion(MakeRegion("a", "red", 0, 0, 10, 10)).ok());
+  ASSERT_TRUE(config.ComputeAllRelations().ok());
+  EXPECT_NE(config.delta_engine(), nullptr);
+  EXPECT_EQ(config.relation_count(), 0u);
+  ASSERT_TRUE(config.AddRegion(MakeRegion("b", "blue", 4, 4, 14, 14)).ok());
+  EXPECT_EQ(config.relation_count(), 2u);
   ExpectMatchesRecompute(config);
 }
 
@@ -218,6 +241,70 @@ std::string NumberedId(uint64_t number) {
   std::string id = "r";
   id += std::to_string(number);
   return id;
+}
+
+// Every relation `config` stores, as (primary, reference, relation).
+std::vector<std::tuple<std::string, std::string, std::string>> RelationsOf(
+    const Configuration& config) {
+  std::vector<std::tuple<std::string, std::string, std::string>> out;
+  config.ForEachRelation([&out](const std::string& primary,
+                                const std::string& reference,
+                                const CardinalRelation& relation) {
+    out.emplace_back(primary, reference, relation.ToString());
+  });
+  return out;
+}
+
+// Applies `edit` to `edited`, which must then match its own recompute,
+// while `other` keeps every relation it stored.
+void EditOneOfTwo(Configuration* edited, const Configuration& other,
+                  const std::function<Status(Configuration&)>& edit) {
+  const auto other_before = RelationsOf(other);
+  ASSERT_TRUE(edit(*edited).ok());
+  ExpectMatchesRecompute(*edited);
+  EXPECT_EQ(RelationsOf(other), other_before);
+}
+
+// A copy of a computed configuration carries its own delta engine, and
+// each engine must read its own configuration's geometry: the two are
+// edited differently (add-polygon, add-region, remove), interleaved. The
+// rectangles overlap diagonally, so most pairs cross on both axes and
+// resolve with full Compute-CDR on the partner's geometry.
+TEST(ConfigurationTest, CopiesEditIndependently) {
+  Configuration original;
+  for (uint64_t i = 0; i < 12; ++i) {
+    const double x = 7.0 * static_cast<double>(i % 4);
+    const double y = 9.0 * static_cast<double>(i / 4);
+    ASSERT_TRUE(original
+                    .AddRegion(MakeRegion(NumberedId(i), "red", x, y, x + 12,
+                                          y + 14))
+                    .ok());
+  }
+  ASSERT_TRUE(original.ComputeAllRelations().ok());
+  Configuration copy = original;
+  ASSERT_NE(copy.delta_engine(), nullptr);
+  ASSERT_NE(copy.delta_engine(), original.delta_engine());
+
+  EditOneOfTwo(&original, copy, [](Configuration& c) {
+    return c.AddPolygonToRegion("r5", MakeRectangle(40, 30, 46, 44));
+  });
+  EditOneOfTwo(&copy, original,
+               [](Configuration& c) { return c.RemoveRegion("r0"); });
+  EditOneOfTwo(&original, copy, [](Configuration& c) {
+    return c.AddRegion(MakeRegion("n1", "blue", 3, 4, 20, 25));
+  });
+  EditOneOfTwo(&copy, original, [](Configuration& c) {
+    return c.AddPolygonToRegion("r6", MakeRectangle(-9, -7, -1, 30));
+  });
+  EditOneOfTwo(&original, copy,
+               [](Configuration& c) { return c.RemoveRegion("r9"); });
+  EditOneOfTwo(&copy, original, [](Configuration& c) {
+    return c.AddRegion(MakeRegion("n2", "green", 9, -3, 24, 19));
+  });
+  EditOneOfTwo(&original, copy, [](Configuration& c) {
+    return c.AddPolygonToRegion("r2", MakeRectangle(-6, 20, 2, 27));
+  });
+  EXPECT_NE(RelationsOf(original), RelationsOf(copy));
 }
 
 // The id index against a linear-scan shadow of the region order. A seeded

@@ -71,6 +71,35 @@ TEST(QueryParseTest, RejectsMalformedQueries) {
   EXPECT_FALSE(Query::Parse("(a) | a = x extra").ok());   // Trailing junk.
 }
 
+// "(x0, x1, …) | color(x0) = red" with `variables` head variables.
+std::string WideHeadQuery(size_t variables) {
+  std::string text = "(x0";
+  for (size_t v = 1; v < variables; ++v) {
+    text += ", x";
+    text += std::to_string(v);
+  }
+  text += ") | color(x0) = red";
+  return text;
+}
+
+// Evaluation recurses once per head variable; a 40,000-variable head used
+// to overflow the stack, so the parser bounds the head.
+TEST(QueryParseTest, HeadVariablesAreBounded) {
+  Configuration config;
+  AddRect(&config, "only", "Only", "red", 0, 0, 1, 1);
+  auto at_limit = EvaluateQuery(config, WideHeadQuery(kMaxQueryVariables));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status();
+  ASSERT_EQ(at_limit->rows.size(), 1u);
+  EXPECT_EQ(at_limit->rows[0].region_ids.size(), kMaxQueryVariables);
+  for (const size_t variables : {kMaxQueryVariables + 1, size_t{40000}}) {
+    const auto over = EvaluateQuery(config, WideHeadQuery(variables));
+    EXPECT_EQ(over.status().code(), StatusCode::kParseError) << variables;
+    EXPECT_NE(over.status().message().find("more than 64 variables"),
+              std::string::npos)
+        << over.status();
+  }
+}
+
 TEST(QueryEvalTest, PaperSectionFourQuery) {
   // "Find all regions of the Athenean Alliance which are surrounded by a
   //  region in the Spartan Alliance":

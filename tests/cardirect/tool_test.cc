@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "cardirect/constraint_file.h"
 #include "obs/metrics.h"
 
 namespace cardir {
@@ -133,6 +134,22 @@ TEST_F(ToolTest, CheckDecidesConsistency) {
   }
   EXPECT_EQ(RunTool({"check", path}).exit_code, 1);
   EXPECT_EQ(RunTool({"check", "/nonexistent/x.txt"}).exit_code, 1);
+  std::remove(path.c_str());
+}
+
+TEST_F(ToolTest, CheckRejectsTooManyVariables) {
+  const std::string path = ::testing::TempDir() + "/cardirect_check_many.txt";
+  {
+    // A chain over one variable more than the limit.
+    std::ofstream file(path);
+    for (int v = 1; v <= kMaxConstraintVariables; ++v) {
+      file << "v" << v - 1 << " N v" << v << "\n";
+    }
+  }
+  const ToolRun run = RunTool({"check", path});
+  EXPECT_EQ(run.exit_code, 1);
+  EXPECT_NE(run.err.find("more than 32 variables"), std::string::npos)
+      << run.err;
   std::remove(path.c_str());
 }
 

@@ -63,6 +63,12 @@ std::vector<Region> SmallOverlapRegions(Rng* rng, int count) {
   return regions;
 }
 
+// The accessor an engine reads dirty partners' geometry through: the
+// test's own vector, kept current by the test around every mutation.
+DeltaEngine::RegionAccessor Over(const std::vector<Region>& regions) {
+  return [&regions](size_t j) -> const Region& { return regions[j]; };
+}
+
 Region RandomMutationRegion(Rng* rng) {
   switch (rng->NextBelow(3)) {
     case 0: {
@@ -106,7 +112,7 @@ TEST(DeltaEngineProperty, MutationScriptsMatchFreshComputeOn500Scripts) {
         break;
     }
 
-    auto engine = DeltaEngine::Build(mirror);
+    auto engine = DeltaEngine::Build(RegionPointers(mirror));
     ASSERT_TRUE(engine.ok()) << engine.status();
     ASSERT_EQ(engine.value().Digest(), SerialDigest(mirror));
 
@@ -116,9 +122,8 @@ TEST(DeltaEngineProperty, MutationScriptsMatchFreshComputeOn500Scripts) {
       const uint64_t kind = rng.NextBelow(4);
       Result<DeltaResult> applied = Status::Internal("unset");
       if (kind == 0 || mirror.size() < 2) {
-        Region region = RandomMutationRegion(&rng);
-        mirror.push_back(region);
-        applied = engine.value().Insert(std::move(region));
+        mirror.push_back(RandomMutationRegion(&rng));
+        applied = engine.value().Insert(mirror.back(), Over(mirror));
       } else if (kind == 3) {
         const size_t id = rng.NextBelow(mirror.size());
         mirror.erase(mirror.begin() + static_cast<ptrdiff_t>(id));
@@ -126,19 +131,17 @@ TEST(DeltaEngineProperty, MutationScriptsMatchFreshComputeOn500Scripts) {
       } else if (kind == 1) {
         // Wholesale geometry replacement.
         const size_t id = rng.NextBelow(mirror.size());
-        Region region = RandomMutationRegion(&rng);
-        mirror[id] = region;
-        applied = engine.value().Move(id, std::move(region));
+        mirror[id] = RandomMutationRegion(&rng);
+        applied = engine.value().Move(id, mirror[id], Over(mirror));
       } else {
         // Grow-in-place: the Configuration::AddPolygonToRegion pattern.
         const size_t id = rng.NextBelow(mirror.size());
         const double x = rng.NextDouble(0.0, 900.0);
         const double y = rng.NextDouble(0.0, 900.0);
-        Region region = mirror[id];
-        region.AddPolygon(MakeRectangle(x, y, x + rng.NextDouble(5.0, 80.0),
-                                        y + rng.NextDouble(5.0, 80.0)));
-        mirror[id] = region;
-        applied = engine.value().Move(id, std::move(region));
+        mirror[id].AddPolygon(MakeRectangle(x, y,
+                                            x + rng.NextDouble(5.0, 80.0),
+                                            y + rng.NextDouble(5.0, 80.0)));
+        applied = engine.value().Move(id, mirror[id], Over(mirror));
       }
       ASSERT_TRUE(applied.ok()) << applied.status();
       ASSERT_EQ(engine.value().regions(), mirror.size());
@@ -161,14 +164,13 @@ TEST(DeltaEngineProperty, MutationScriptsMatchFreshComputeOn500Scripts) {
 TEST(DeltaEngineTest, TouchedCoversExplicitPairsOfMovedRegion) {
   Rng rng(0x70C4Edu);
   std::vector<Region> regions = SmallOverlapRegions(&rng, 60);
-  auto engine = DeltaEngine::Build(regions);
+  auto engine = DeltaEngine::Build(RegionPointers(regions));
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   for (int m = 0; m < 20; ++m) {
     const size_t id = rng.NextBelow(regions.size());
-    Region region = RandomMutationRegion(&rng);
-    regions[id] = region;
-    const auto applied = engine.value().Move(id, std::move(region));
+    regions[id] = RandomMutationRegion(&rng);
+    const auto applied = engine.value().Move(id, regions[id], Over(regions));
     ASSERT_TRUE(applied.ok()) << applied.status();
     const RelationStore& store = engine.value().store();
     std::vector<std::pair<uint32_t, uint32_t>> touched =
@@ -196,24 +198,22 @@ TEST(DeltaEngineTest, TouchedCoversExplicitPairsOfMovedRegion) {
 TEST(DeltaEngineTest, LongChurnEndsPairIdenticalToFreshStore) {
   Rng rng(0xC4C4u);
   std::vector<Region> mirror = SmallOverlapRegions(&rng, 90);
-  auto engine = DeltaEngine::Build(mirror);
+  auto engine = DeltaEngine::Build(RegionPointers(mirror));
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   for (int m = 0; m < 300; ++m) {
     const uint64_t kind = rng.NextBelow(4);
     if (kind == 0 || mirror.size() < 30) {
-      Region region = RandomMutationRegion(&rng);
-      mirror.push_back(region);
-      ASSERT_TRUE(engine.value().Insert(std::move(region)).ok());
+      mirror.push_back(RandomMutationRegion(&rng));
+      ASSERT_TRUE(engine.value().Insert(mirror.back(), Over(mirror)).ok());
     } else if (kind == 3) {
       const size_t id = rng.NextBelow(mirror.size());
       mirror.erase(mirror.begin() + static_cast<ptrdiff_t>(id));
       ASSERT_TRUE(engine.value().Remove(id).ok());
     } else {
       const size_t id = rng.NextBelow(mirror.size());
-      Region region = RandomMutationRegion(&rng);
-      mirror[id] = region;
-      ASSERT_TRUE(engine.value().Move(id, std::move(region)).ok());
+      mirror[id] = RandomMutationRegion(&rng);
+      ASSERT_TRUE(engine.value().Move(id, mirror[id], Over(mirror)).ok());
     }
   }
 
@@ -229,55 +229,72 @@ TEST(DeltaEngineTest, LongChurnEndsPairIdenticalToFreshStore) {
   });
 }
 
-TEST(DeltaEngineTest, AdoptedStoreNeedsNoRecompute) {
+// Build runs the sweep ComputeRelationStore runs and keeps its plan: the
+// two stores are equal pair for pair at every thread count, and the engine
+// is live from the start (a following Move tracks the serial loop).
+TEST(DeltaEngineTest, BuildStoreEqualsComputeRelationStore) {
   Rng rng(0xAD09u);
-  std::vector<Region> regions = SmallMapRegions(&rng, 40);
-  auto store = ComputeRelationStore(regions);
-  ASSERT_TRUE(store.ok()) << store.status();
-  const uint64_t before = store->Digest();
+  const std::vector<Region> inputs[] = {SmallMapRegions(&rng, 40),
+                                        SmallOverlapRegions(&rng, 40)};
+  for (const std::vector<Region>& regions : inputs) {
+    const uint64_t serial = SerialDigest(regions);
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      EngineOptions options;
+      options.threads = threads;
+      auto fresh = ComputeRelationStore(regions, options);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      auto engine = DeltaEngine::Build(RegionPointers(regions), options);
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      const RelationStore& built = engine->store();
+      ASSERT_EQ(built.regions(), fresh->regions());
+      EXPECT_EQ(built.overlay_pairs(), fresh->overlay_pairs());
+      EXPECT_EQ(built.Digest(), fresh->Digest());
+      EXPECT_EQ(engine->Digest(), serial);
+      fresh->ForEach([&built](size_t i, size_t j,
+                              const CardinalRelation& relation) {
+        ASSERT_EQ(built.Relation(i, j).mask(), relation.mask())
+            << "pair (" << i << ", " << j << ")";
+      });
 
-  DeltaEngine engine = DeltaEngine::Adopt(std::move(*store), regions);
-  EXPECT_EQ(engine.Digest(), before);
-
-  // And it is live: a mutation through the adopted engine tracks fresh
-  // compute.
-  Region moved = RandomMutationRegion(&rng);
-  regions[7] = moved;
-  ASSERT_TRUE(engine.Move(7, std::move(moved)).ok());
-  EXPECT_EQ(engine.Digest(), SerialDigest(regions));
+      std::vector<Region> moved = regions;
+      moved[7] = RandomMutationRegion(&rng);
+      ASSERT_TRUE(engine->Move(7, moved[7], Over(moved)).ok());
+      EXPECT_EQ(engine->Digest(), SerialDigest(moved));
+    }
+  }
 }
 
 TEST(DeltaEngineTest, ErrorsLeaveEngineUntouched) {
   Rng rng(0xE88u);
   std::vector<Region> regions = SmallMapRegions(&rng, 10);
-  auto engine = DeltaEngine::Build(regions);
+  auto engine = DeltaEngine::Build(RegionPointers(regions));
   ASSERT_TRUE(engine.ok()) << engine.status();
   const uint64_t digest = engine.value().Digest();
 
-  EXPECT_EQ(engine.value().Move(99, Region(MakeRectangle(0, 0, 1, 1)))
+  EXPECT_EQ(engine.value()
+                .Move(99, Region(MakeRectangle(0, 0, 1, 1)), Over(regions))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.value().Remove(99).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.value().Insert(Region()).status().code(),
+  EXPECT_EQ(engine.value().Insert(Region(), Over(regions)).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.value().Move(3, Region()).status().code(),
+  EXPECT_EQ(engine.value().Move(3, Region(), Over(regions)).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.value().regions(), regions.size());
   EXPECT_EQ(engine.value().Digest(), digest);
 }
 
-// Grows `engine` from zero regions and drains it again, digest-checked
-// after every step.
-void GrowThenDrain(DeltaEngine* engine) {
-  EXPECT_EQ(engine->regions(), 0u);
-  std::vector<Region> mirror;
+// Grows `engine`, which holds `mirror`, by 12 regions and drains it
+// again, digest-checked after every step.
+void GrowThenDrain(DeltaEngine* engine, std::vector<Region> mirror) {
+  EXPECT_EQ(engine->regions(), mirror.size());
   Rng rng(0x60Fu);
   for (int i = 0; i < 12; ++i) {
-    Region region = RandomMutationRegion(&rng);
-    mirror.push_back(region);
-    const auto applied = engine->Insert(std::move(region));
+    mirror.push_back(RandomMutationRegion(&rng));
+    const auto applied = engine->Insert(mirror.back(), Over(mirror));
     ASSERT_TRUE(applied.ok()) << applied.status();
     ASSERT_EQ(engine->Digest(), SerialDigest(mirror));
   }
@@ -290,17 +307,26 @@ void GrowThenDrain(DeltaEngine* engine) {
   EXPECT_EQ(engine->regions(), 0u);
 }
 
+// Below two regions the sweep has no pairs to resolve, but Build must
+// still leave the plan the inserts extend.
 TEST(DeltaEngineTest, GrowFromEmptyEngine) {
   auto built = DeltaEngine::Build({});
   ASSERT_TRUE(built.ok()) << built.status();
   {
     SCOPED_TRACE("DeltaEngine::Build({})");
-    GrowThenDrain(&built.value());
+    GrowThenDrain(&built.value(), {});
+  }
+  const std::vector<Region> one = {Region(MakeRectangle(100, 100, 180, 150))};
+  auto built_one = DeltaEngine::Build(RegionPointers(one));
+  ASSERT_TRUE(built_one.ok()) << built_one.status();
+  {
+    SCOPED_TRACE("DeltaEngine::Build(one region)");
+    GrowThenDrain(&built_one.value(), one);
   }
   DeltaEngine engine;
   {
     SCOPED_TRACE("DeltaEngine{}");
-    GrowThenDrain(&engine);
+    GrowThenDrain(&engine, {});
   }
 }
 
@@ -314,7 +340,7 @@ TEST(DeltaEngineMemstats, AuxArenaBalancesAcrossCopyMoveAndDestroy) {
   Rng rng(0x3E3Au);
   std::vector<Region> regions = SmallOverlapRegions(&rng, 30);
   {
-    auto built = DeltaEngine::Build(regions);
+    auto built = DeltaEngine::Build(RegionPointers(regions));
     ASSERT_TRUE(built.ok());
     DeltaEngine& engine = built.value();
     const int64_t live_single = arena.LiveBytes();
@@ -326,7 +352,8 @@ TEST(DeltaEngineMemstats, AuxArenaBalancesAcrossCopyMoveAndDestroy) {
 
     DeltaEngine moved(std::move(copy));  // ...a move transfers it.
     EXPECT_EQ(arena.LiveBytes(), live_with_copy);
-    ASSERT_TRUE(moved.Move(3, RandomMutationRegion(&rng)).ok());
+    regions[3] = RandomMutationRegion(&rng);
+    ASSERT_TRUE(moved.Move(3, regions[3], Over(regions)).ok());
   }
   EXPECT_EQ(arena.LiveBytes(), live_before);
 }
@@ -346,7 +373,7 @@ TEST(DeltaEngineObs, IndexRebuildCounterAndPendingGauge) {
   std::vector<Region> regions;
   for (size_t i = 0; i < 200; ++i) regions.push_back(square(i, 0.0));
   const obs::MetricsSnapshot before = obs::CaptureMetrics();
-  auto built = DeltaEngine::Build(regions);
+  auto built = DeltaEngine::Build(RegionPointers(regions));
   ASSERT_TRUE(built.ok()) << built.status();
   DeltaEngine& engine = built.value();
   EXPECT_EQ(obs::CaptureMetrics().Diff(before).counter("delta.index.rebuilds"),
@@ -355,14 +382,16 @@ TEST(DeltaEngineObs, IndexRebuildCounterAndPendingGauge) {
   // A region's first move tombstones its sorted entry and parks the new
   // interval in overflow: +2 per axis, so the 33rd move crosses 64.
   for (size_t m = 0; m < 32; ++m) {
-    ASSERT_TRUE(engine.Move(m, square(m, 5.0)).ok());
+    regions[m] = square(m, 5.0);
+    ASSERT_TRUE(engine.Move(m, regions[m], Over(regions)).ok());
     const obs::MetricsSnapshot now = obs::CaptureMetrics();
     EXPECT_EQ(now.gauge("delta.index.pending"),
               static_cast<int64_t>(2 * m + 2));
     EXPECT_EQ(now.gauge("delta.index.rebuild_threshold"), 64);
     EXPECT_EQ(now.Diff(before).counter("delta.index.rebuilds"), 0u);
   }
-  ASSERT_TRUE(engine.Move(32, square(32, 5.0)).ok());
+  regions[32] = square(32, 5.0);
+  ASSERT_TRUE(engine.Move(32, regions[32], Over(regions)).ok());
   obs::MetricsSnapshot now = obs::CaptureMetrics();
   EXPECT_EQ(now.Diff(before).counter("delta.index.rebuilds"), 2u);
   EXPECT_EQ(now.gauge("delta.index.pending"), 0);

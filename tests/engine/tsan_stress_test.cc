@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -176,13 +177,25 @@ TEST(TsanStressTest, SharedRegionsPerThreadScratchReuse) {
 // absolute final geometry, so any interleaving converges to one state)
 // while other threads read Digest() mid-churn. The end digest must equal
 // the serial loop's — a dropped patch under contention would diverge.
+// The engine borrows geometry: the movers share the region vector its
+// accessor reads, so each holds `geometry_mu` while it updates its region
+// and calls Move (the caller's side of the accessor contract); the
+// Digest() readers take no test lock.
 TEST(TsanStressTest, DeltaEngineConcurrentMovesAndDigestReaders) {
   Rng rng(0xDE17Au);
   std::vector<Region> regions;
   for (int i = 0; i < 32; ++i) regions.push_back(RandomTestRegion(&rng));
-  auto built = DeltaEngine::Build(regions);
+  auto built = DeltaEngine::Build(RegionPointers(regions));
   ASSERT_TRUE(built.ok()) << built.status();
   DeltaEngine& engine = built.value();
+  std::mutex geometry_mu;
+  const DeltaEngine::RegionAccessor region_at =
+      [&regions](size_t j) -> const Region& { return regions[j]; };
+  const auto move = [&](size_t i, const Region& geometry) {
+    const std::lock_guard<std::mutex> lock(geometry_mu);
+    regions[i] = geometry;
+    return engine.Move(i, regions[i], region_at).ok();
+  };
 
   std::vector<Region> final_regions = regions;
   for (size_t i = 0; i < final_regions.size(); ++i) {
@@ -194,16 +207,16 @@ TEST(TsanStressTest, DeltaEngineConcurrentMovesAndDigestReaders) {
   std::atomic<int> failures{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&engine, &final_regions, &failures, w] {
+    workers.emplace_back([&engine, &move, &final_regions, &failures, w] {
       for (size_t i = static_cast<size_t>(w); i < final_regions.size();
            i += 4) {
         // An intermediate hop first, so every id mutates twice and the
         // interval indexes accumulate tombstones under contention.
         const double off = 500.0 + 25.0 * static_cast<double>(i);
-        Region hop(MakeRectangle(off, off, off + 20.0, off + 15.0));
-        if (!engine.Move(i, std::move(hop)).ok()) failures.fetch_add(1);
+        const Region hop(MakeRectangle(off, off, off + 20.0, off + 15.0));
+        if (!move(i, hop)) failures.fetch_add(1);
         (void)engine.Digest();  // Readers interleave with movers.
-        if (!engine.Move(i, final_regions[i]).ok()) failures.fetch_add(1);
+        if (!move(i, final_regions[i])) failures.fetch_add(1);
       }
     });
   }
