@@ -151,10 +151,15 @@ class Configuration {
                              EngineStats* stats = nullptr);
 
   /// The stored relation `primary R reference`, or nullopt when relations
-  /// have not been computed (or a region is missing). O(1) expected on a
-  /// computed configuration: two id lookups plus RelationStore::Relation.
-  /// On an XML-loaded configuration it scans the explicit records, which
-  /// stay a list until loading rebuilds a store from the geometry.
+  /// have not been computed (or a region is missing). On a computed
+  /// configuration: two id lookups (O(1) expected) plus
+  /// RelationStore::Relation, which is O(1) for an implicit pair in a base
+  /// row but an O(n) rank walk for an explicit pair in a base or patched
+  /// row (9.8 µs at 4k regions, 93 µs at 50k); rows with an edit record
+  /// binary-search it first. On an XML-loaded configuration it scans the
+  /// explicit records, which stay a list until loading rebuilds a store
+  /// from the geometry. The query evaluator does not come through here on
+  /// a computed configuration (cardirect/query.h).
   std::optional<CardinalRelation> StoredRelation(
       const std::string& primary_id, const std::string& reference_id) const;
 

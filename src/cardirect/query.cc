@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <type_traits>
 
 #include "core/compute_cdr.h"
 #include "core/compute_cdr_percent.h"
-#include "util/logging.h"
+#include "engine/interval_kernel.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/string_util.h"
 
 namespace cardir {
@@ -323,171 +326,254 @@ class QueryParser {
 // Evaluator
 // ---------------------------------------------------------------------------
 
+// A binary atom compiled once per query: its variables resolved to head
+// indices, a direction atom's relation to its class-code accept mask. The
+// search checks it at the depth where the later of its variables binds.
+struct BinaryAtom {
+  enum class Kind : uint8_t {
+    kDirection,
+    kTopology,
+    kDistance,
+    kNumericDistance,
+    kPercent,
+  };
+  Kind kind = Kind::kDirection;
+  uint16_t accept = 0;     // kDirection: ClassCodeAcceptMask(relation).
+  uint32_t primary = 0;    // Head index of the primary variable…
+  uint32_t reference = 0;  // …and of the reference variable.
+  size_t condition = 0;    // Index into the query's list of this kind.
+};
+
 class Evaluator {
  public:
   Evaluator(const Configuration& configuration, const Query& query)
-      : configuration_(configuration), query_(query) {}
+      : configuration_(configuration),
+        query_(query),
+        regions_(configuration.regions()),
+        store_(configuration.relation_store()),
+        atoms_at_(query.variables.size()) {}
 
   Result<QueryResult> Run() {
+    CARDIR_RETURN_IF_ERROR(Compile());
     const size_t num_vars = query_.variables.size();
-    // Per-variable candidate sets from unary conditions.
-    std::vector<std::vector<const AnnotatedRegion*>> candidates(num_vars);
-    for (size_t v = 0; v < num_vars; ++v) {
-      CARDIR_ASSIGN_OR_RETURN(candidates[v],
-                              CandidatesFor(query_.variables[v]));
-    }
+    // Per-variable candidate positions from unary conditions.
+    std::vector<std::vector<uint32_t>> candidates(num_vars);
+    for (size_t v = 0; v < num_vars; ++v) candidates[v] = CandidatesFor(v);
     QueryResult result;
     result.variables = query_.variables;
-    std::vector<const AnnotatedRegion*> binding(num_vars, nullptr);
-    CARDIR_RETURN_IF_ERROR(Search(candidates, 0, &binding, &result));
+    std::vector<uint32_t> binding(num_vars, 0);
+    const Status searched = Search(candidates, 0, &binding, &result);
+    // One flush per query keeps the per-binding loop counter-free.
+    CARDIR_METRIC_COUNT("query.bindings", tally_.bindings);
+    CARDIR_METRIC_COUNT("query.direction.implicit", tally_.implicit);
+    CARDIR_METRIC_COUNT("query.direction.explicit", tally_.explicit_reads);
+    CARDIR_METRIC_COUNT("query.direction.computed", tally_.computed);
+    CARDIR_RETURN_IF_ERROR(searched);
     std::sort(result.rows.begin(), result.rows.end());
     return result;
   }
 
  private:
-  Result<std::vector<const AnnotatedRegion*>> CandidatesFor(
-      const std::string& variable) {
-    std::vector<const AnnotatedRegion*> out;
-    for (const AnnotatedRegion& region : configuration_.regions()) {
-      bool ok = true;
-      for (const IdentityCondition& c : query_.identity_conditions) {
-        if (c.variable != variable) continue;
-        if (region.id != c.region && region.name != c.region) ok = false;
+  // What the search did, flushed to the query.* counters once per query.
+  struct Tally {
+    uint64_t bindings = 0;        // Candidates bound, over all depths.
+    uint64_t implicit = 0;        // Direction pairs the accept mask decided.
+    uint64_t explicit_reads = 0;  // kCross pairs read from the store.
+    uint64_t computed = 0;        // Pairs from a record or Compute-CDR.
+  };
+
+  // Resolves every binary atom's variables and files it under the depth of
+  // its later variable, category by category, so each depth checks its
+  // directions first, then topology, distance, distance() and percent().
+  Status Compile() {
+    using Kind = BinaryAtom::Kind;
+    CARDIR_RETURN_IF_ERROR(File(query_.direction_conditions, Kind::kDirection));
+    CARDIR_RETURN_IF_ERROR(File(query_.topology_conditions, Kind::kTopology));
+    CARDIR_RETURN_IF_ERROR(File(query_.distance_conditions, Kind::kDistance));
+    CARDIR_RETURN_IF_ERROR(
+        File(query_.numeric_conditions, Kind::kNumericDistance));
+    return File(query_.percent_conditions, Kind::kPercent);
+  }
+
+  template <typename Condition>
+  Status File(const std::vector<Condition>& conditions, BinaryAtom::Kind kind) {
+    for (size_t i = 0; i < conditions.size(); ++i) {
+      const Condition& c = conditions[i];
+      BinaryAtom atom;
+      if constexpr (std::is_same_v<Condition, NumericCondition>) {
+        if (c.kind != NumericCondition::Kind::kDistance) continue;  // area()
       }
-      for (const ThematicCondition& c : query_.thematic_conditions) {
-        if (c.variable != variable) continue;
+      if constexpr (std::is_same_v<Condition, DirectionCondition>) {
+        atom.accept = ClassCodeAcceptMask(c.relation);
+      }
+      atom.kind = kind;
+      atom.condition = i;
+      CARDIR_ASSIGN_OR_RETURN(atom.primary, VariableIndex(c.primary_variable));
+      CARDIR_ASSIGN_OR_RETURN(atom.reference,
+                              VariableIndex(c.reference_variable));
+      atoms_at_[std::max(atom.primary, atom.reference)].push_back(atom);
+    }
+    return Status::Ok();
+  }
+
+  Result<uint32_t> VariableIndex(const std::string& variable) const {
+    for (size_t i = 0; i < query_.variables.size(); ++i) {
+      if (query_.variables[i] == variable) return static_cast<uint32_t>(i);
+    }
+    return Status::InvalidArgument("undeclared variable '" + variable + "'");
+  }
+
+  // Positions in regions() of the regions passing head variable v's unary
+  // conditions (identity, thematic, area()).
+  std::vector<uint32_t> CandidatesFor(size_t v) const {
+    const std::string& variable = query_.variables[v];
+    std::vector<const IdentityCondition*> identity;
+    for (const IdentityCondition& c : query_.identity_conditions) {
+      if (c.variable == variable) identity.push_back(&c);
+    }
+    std::vector<const ThematicCondition*> thematic;
+    for (const ThematicCondition& c : query_.thematic_conditions) {
+      if (c.variable == variable) thematic.push_back(&c);
+    }
+    std::vector<const NumericCondition*> area;
+    for (const NumericCondition& c : query_.numeric_conditions) {
+      if (c.kind == NumericCondition::Kind::kArea &&
+          c.primary_variable == variable) {
+        area.push_back(&c);
+      }
+    }
+    auto passes = [&](const AnnotatedRegion& region) {
+      for (const IdentityCondition* c : identity) {
+        if (region.id != c->region && region.name != c->region) return false;
+      }
+      for (const ThematicCondition* c : thematic) {
         const std::string& actual =
-            c.attribute == "color" ? region.color : region.name;
-        if (actual != c.value) ok = false;
+            c->attribute == "color" ? region.color : region.name;
+        if (actual != c->value) return false;
       }
-      for (const NumericCondition& c : query_.numeric_conditions) {
-        if (c.kind != NumericCondition::Kind::kArea ||
-            c.primary_variable != variable) {
-          continue;
+      for (const NumericCondition* c : area) {
+        const double value = region.geometry.Area();
+        if (c->less_than ? !(value < c->value) : !(value > c->value)) {
+          return false;
         }
-        const double area = region.geometry.Area();
-        if (c.less_than ? !(area < c.value) : !(area > c.value)) ok = false;
       }
-      if (ok) out.push_back(&region);
+      return true;
+    };
+    std::vector<uint32_t> out;
+    for (size_t i = 0; i < regions_.size(); ++i) {
+      if (passes(regions_[i])) out.push_back(static_cast<uint32_t>(i));
     }
     return out;
   }
 
-  // The relation primary R reference: stored record if available, else
-  // computed on the fly.
-  Result<CardinalRelation> RelationBetween(const AnnotatedRegion* primary,
-                                           const AnnotatedRegion* reference) {
-    std::optional<CardinalRelation> stored =
-        configuration_.StoredRelation(primary->id, reference->id);
-    if (stored.has_value()) return *stored;
-    return ComputeCdr(primary->geometry, reference->geometry);
+  // A direction atom over the computed store: the pair's class code decides
+  // it by one accept-mask bit, and only a kCross pair reads its relation.
+  bool StoredDirectionHolds(const BinaryAtom& atom, uint32_t primary,
+                            uint32_t reference) {
+    const uint8_t code = ClassPairCode(store_->profile(), primary, reference);
+    if (RelationStore::ResolvableCode(code)) {
+      ++tally_.implicit;
+      return AcceptsClassCode(atom.accept, code);
+    }
+    ++tally_.explicit_reads;
+    return query_.direction_conditions[atom.condition].relation.Contains(
+        store_->Relation(primary, reference));
   }
 
-  // Checks every binary atom whose variables are both bound, with `latest`
-  // being the most recently bound variable index.
-  Result<bool> BinaryAtomsHold(
-      const std::vector<const AnnotatedRegion*>& binding, size_t latest) {
-    // Returns true when this atom must be checked now and both sides bound.
-    auto relevant = [&](const std::string& pv, const std::string& rv,
-                        size_t* p, size_t* r) {
-      *p = VariableIndex(pv);
-      *r = VariableIndex(rv);
-      if (*p != latest && *r != latest) return false;
-      return binding[*p] != nullptr && binding[*r] != nullptr;
-    };
-    size_t p, r;
-    for (const DirectionCondition& c : query_.direction_conditions) {
-      if (!relevant(c.primary_variable, c.reference_variable, &p, &r)) {
-        continue;
+  // Any binary atom on bound positions `primary` ≠ `reference`, from the
+  // geometry (a direction atom: from the stored record, else Compute-CDR).
+  Result<bool> Holds(const BinaryAtom& atom, uint32_t primary,
+                     uint32_t reference) {
+    const AnnotatedRegion& p = regions_[primary];
+    const AnnotatedRegion& r = regions_[reference];
+    switch (atom.kind) {
+      case BinaryAtom::Kind::kDirection: {
+        ++tally_.computed;
+        const DisjunctiveRelation& relation =
+            query_.direction_conditions[atom.condition].relation;
+        std::optional<CardinalRelation> stored =
+            configuration_.StoredRelation(p.id, r.id);
+        if (stored.has_value()) return relation.Contains(*stored);
+        CARDIR_ASSIGN_OR_RETURN(CardinalRelation actual,
+                                ComputeCdr(p.geometry, r.geometry));
+        return relation.Contains(actual);
       }
-      if (binding[p] == binding[r]) return false;
-      CARDIR_ASSIGN_OR_RETURN(CardinalRelation actual,
-                              RelationBetween(binding[p], binding[r]));
-      if (!c.relation.Contains(actual)) return false;
-    }
-    for (const TopologyCondition& c : query_.topology_conditions) {
-      if (!relevant(c.primary_variable, c.reference_variable, &p, &r)) {
-        continue;
+      case BinaryAtom::Kind::kTopology: {
+        CARDIR_ASSIGN_OR_RETURN(TopologicalRelation actual,
+                                ComputeTopology(p.geometry, r.geometry));
+        return actual == query_.topology_conditions[atom.condition].relation;
       }
-      if (binding[p] == binding[r]) return false;
-      CARDIR_ASSIGN_OR_RETURN(
-          TopologicalRelation actual,
-          ComputeTopology(binding[p]->geometry, binding[r]->geometry));
-      if (actual != c.relation) return false;
-    }
-    for (const DistanceCondition& c : query_.distance_conditions) {
-      if (!relevant(c.primary_variable, c.reference_variable, &p, &r)) {
-        continue;
+      case BinaryAtom::Kind::kDistance: {
+        CARDIR_ASSIGN_OR_RETURN(DistanceRelation actual,
+                                ComputeDistanceRelation(p.geometry, r.geometry));
+        return actual == query_.distance_conditions[atom.condition].relation;
       }
-      if (binding[p] == binding[r]) return false;
-      CARDIR_ASSIGN_OR_RETURN(
-          DistanceRelation actual,
-          ComputeDistanceRelation(binding[p]->geometry,
-                                  binding[r]->geometry));
-      if (actual != c.relation) return false;
-    }
-    for (const NumericCondition& c : query_.numeric_conditions) {
-      if (c.kind != NumericCondition::Kind::kDistance) continue;
-      if (!relevant(c.primary_variable, c.reference_variable, &p, &r)) {
-        continue;
+      case BinaryAtom::Kind::kNumericDistance: {
+        const NumericCondition& c = query_.numeric_conditions[atom.condition];
+        CARDIR_ASSIGN_OR_RETURN(double distance,
+                                MinimumDistance(p.geometry, r.geometry));
+        return c.less_than ? distance < c.value : distance > c.value;
       }
-      if (binding[p] == binding[r]) return false;
-      CARDIR_ASSIGN_OR_RETURN(
-          double distance,
-          MinimumDistance(binding[p]->geometry, binding[r]->geometry));
-      if (c.less_than ? !(distance < c.value) : !(distance > c.value)) {
-        return false;
+      case BinaryAtom::Kind::kPercent: {
+        const PercentCondition& c = query_.percent_conditions[atom.condition];
+        CARDIR_ASSIGN_OR_RETURN(PercentageMatrix matrix,
+                                ComputeCdrPercent(p.geometry, r.geometry));
+        const double percent = matrix.at(c.tile);
+        return c.less_than ? percent < c.value : percent > c.value;
       }
     }
-    for (const PercentCondition& c : query_.percent_conditions) {
-      if (!relevant(c.primary_variable, c.reference_variable, &p, &r)) {
-        continue;
-      }
-      if (binding[p] == binding[r]) return false;
-      CARDIR_ASSIGN_OR_RETURN(
-          PercentageMatrix matrix,
-          ComputeCdrPercent(binding[p]->geometry, binding[r]->geometry));
-      const double percent = matrix.at(c.tile);
-      if (c.less_than ? !(percent < c.value) : !(percent > c.value)) {
-        return false;
-      }
-    }
-    return true;
+    return false;  // Unreachable for valid kinds.
   }
 
-  size_t VariableIndex(const std::string& variable) const {
-    for (size_t i = 0; i < query_.variables.size(); ++i) {
-      if (query_.variables[i] == variable) return i;
-    }
-    CARDIR_CHECK(false) << "unbound variable slipped through parsing";
-    return 0;
-  }
-
-  Status Search(const std::vector<std::vector<const AnnotatedRegion*>>& candidates,
-                size_t depth, std::vector<const AnnotatedRegion*>* binding,
+  // Binds head variable `depth` to each of its candidates in turn and
+  // checks the atoms filed under it. A binary atom rejects a binding of
+  // both its variables to one region.
+  Status Search(const std::vector<std::vector<uint32_t>>& candidates,
+                size_t depth, std::vector<uint32_t>* binding,
                 QueryResult* result) {
     if (depth == binding->size()) {
       QueryRow row;
       row.region_ids.reserve(binding->size());
-      for (const AnnotatedRegion* region : *binding) {
-        row.region_ids.push_back(region->id);
+      for (const uint32_t position : *binding) {
+        row.region_ids.push_back(regions_[position].id);
       }
       result->rows.push_back(std::move(row));
       return Status::Ok();
     }
-    for (const AnnotatedRegion* candidate : candidates[depth]) {
+    const std::vector<BinaryAtom>& atoms = atoms_at_[depth];
+    tally_.bindings += candidates[depth].size();
+    for (const uint32_t candidate : candidates[depth]) {
       (*binding)[depth] = candidate;
-      CARDIR_ASSIGN_OR_RETURN(bool ok, BinaryAtomsHold(*binding, depth));
-      if (ok) {
+      bool holds = true;
+      for (const BinaryAtom& atom : atoms) {
+        const uint32_t primary = (*binding)[atom.primary];
+        const uint32_t reference = (*binding)[atom.reference];
+        if (primary == reference) {
+          holds = false;
+        } else if (atom.kind == BinaryAtom::Kind::kDirection &&
+                   store_ != nullptr) {
+          holds = StoredDirectionHolds(atom, primary, reference);
+        } else {
+          CARDIR_ASSIGN_OR_RETURN(holds, Holds(atom, primary, reference));
+        }
+        if (!holds) break;
+      }
+      if (holds) {
         CARDIR_RETURN_IF_ERROR(Search(candidates, depth + 1, binding, result));
       }
     }
-    (*binding)[depth] = nullptr;
     return Status::Ok();
   }
 
   const Configuration& configuration_;
   const Query& query_;
+  const std::vector<AnnotatedRegion>& regions_;
+  // The computed store, or nullptr: XML-loaded and uncomputed
+  // configurations decide direction atoms through Holds.
+  const RelationStore* store_;
+  // Binary atoms by the head index of their later variable.
+  std::vector<std::vector<BinaryAtom>> atoms_at_;
+  Tally tally_;
 };
 
 }  // namespace
@@ -499,6 +585,7 @@ Result<Query> Query::Parse(std::string_view text) {
 
 Result<QueryResult> EvaluateQuery(const Configuration& configuration,
                                   const Query& query) {
+  CARDIR_TRACE_SPAN("query.eval");
   return Evaluator(configuration, query).Run();
 }
 

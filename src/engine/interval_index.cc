@@ -142,10 +142,12 @@ void IntervalOverlapIndex::Remove(size_t id) {
 void PolygonBoxes::Build(const std::vector<const Region*>& regions) {
   const size_t n = regions.size();
   offsets.assign(n + 1, 0);
-  min_x.clear();
-  max_x.clear();
-  min_y.clear();
-  max_y.clear();
+  size_t polygons = 0;
+  for (const Region* region : regions) polygons += region->polygon_count();
+  for (std::vector<double>* bound : {&min_x, &max_x, &min_y, &max_y}) {
+    bound->clear();
+    bound->reserve(polygons);
+  }
   for (size_t i = 0; i < n; ++i) {
     offsets[i] = min_x.size();
     for (const Polygon& polygon : regions[i]->polygons()) {

@@ -192,6 +192,17 @@ const std::array<CardinalRelation, kNumClassPairCodes>& ClassPairRelations() {
   return relations;
 }
 
+uint16_t ClassCodeAcceptMask(const DisjunctiveRelation& relation) {
+  uint16_t accept = 0;
+  for (uint8_t code = 0; code < kNumClassPairCodes; ++code) {
+    // Contains() is false for the empty relation of a kCross code.
+    if (relation.Contains(ClassPairRelations()[code])) {
+      accept = static_cast<uint16_t>(accept | 1u << code);
+    }
+  }
+  return accept;
+}
+
 IntervalClass IntervalClassOfAllen(AllenRelation r) {
   switch (r) {
     case AllenRelation::kBefore:

@@ -38,6 +38,7 @@
 
 #include "core/cardinal_relation.h"
 #include "geometry/box.h"
+#include "reasoning/disjunctive_relation.h"
 #include "reasoning/interval_algebra.h"
 #include "util/status.h"
 
@@ -112,6 +113,17 @@ inline uint8_t ClassPairCode(const RegionProfile& profile, size_t i,
   return static_cast<uint8_t>(static_cast<uint8_t>(cx << 2 | cy) |
                               profile.cross_override[i] |
                               profile.cross_override[j]);
+}
+
+/// A direction atom `x R y` compiled against class-pair codes: bit c is set
+/// iff code c is resolvable and `relation` contains ClassPairRelations()[c].
+/// A pair whose code is resolvable then satisfies the atom iff its bit is
+/// set; kCross codes are never accepted, their pairs need the relation.
+uint16_t ClassCodeAcceptMask(const DisjunctiveRelation& relation);
+
+/// Whether `accept` (a ClassCodeAcceptMask) accepts class-pair code `code`.
+inline bool AcceptsClassCode(uint16_t accept, uint8_t code) {
+  return ((accept >> code) & 1u) != 0;
 }
 
 /// The interval class that Allen relation `r` between a primary interval

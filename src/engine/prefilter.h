@@ -34,7 +34,9 @@ namespace cardir {
 /// The relation `a R b` when it is determined by the bounding boxes alone
 /// (a single-tile relation, or B for a contained box), nullopt otherwise.
 /// Degenerate (zero-width/height) or empty boxes always return nullopt so
-/// callers fall back to the full algorithm.
+/// callers fall back to the full algorithm. No read path calls it: every
+/// one classifies with ClassPairCode, and this stays the oracle that
+/// ValidateClassKernelOnce and the tests hold ClassPairCode against.
 std::optional<CardinalRelation> MbbPrefilterRelation(const Box& primary_mbb,
                                                      const Box& reference_mbb);
 

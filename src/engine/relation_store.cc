@@ -149,7 +149,16 @@ void RelationStore::PatchPair(size_t row, size_t col, bool was_explicit,
       if (present) {
         edit->masks[k] = mask;
       } else {
-        edit->cols.insert(pos, col32);
+        if (edit->cols.size() == edit->cols.capacity()) {
+          // Grow a full row by an eighth, not by doubling: the insert
+          // memmoves the row anyway, so this keeps it O(row) per insert
+          // while a row's slack stays a fraction of its live columns.
+          const size_t grown = edit->cols.size() + edit->cols.size() / 8 + 4;
+          edit->cols.reserve(grown);
+          edit->masks.reserve(grown);
+        }
+        edit->cols.insert(edit->cols.begin() + static_cast<ptrdiff_t>(k),
+                          col32);
         edit->masks.insert(edit->masks.begin() + static_cast<ptrdiff_t>(k),
                            mask);
       }
@@ -266,6 +275,9 @@ void RelationStore::MaybeCompactRow(size_t row) {
       masks.push_back(relation.mask());
     }
   });
+  // Exactly sized: PatchPair grows a full loose row by a fraction.
+  cols.shrink_to_fit();
+  masks.shrink_to_fit();
   ReplaceRow(row, std::move(cols), std::move(masks));
 }
 

@@ -194,6 +194,12 @@ class RelationStore {
            edits_.capacity() * sizeof(RowEdit) + edit_heap_bytes_;
   }
 
+  /// The profiled boxes, indices parallel to the store's regions. A pair's
+  /// ClassPairCode over them is its relation's whole record whenever the
+  /// code is resolvable (ClassPairRelations()[code]); only kCross pairs
+  /// need Relation().
+  const RegionProfile& profile() const { return profile_; }
+
   /// True when either axis class of (primary, reference) is kCross or a box
   /// is degenerate — i.e. the pair's mask lives in the overlay.
   bool IsExplicit(size_t primary, size_t reference) const {
@@ -202,10 +208,12 @@ class RelationStore {
 
   /// The stored relation `primary R reference`. Precondition: both indices
   /// in range and distinct (returns the empty relation for primary ==
-  /// reference). Implicit pairs are O(1); overlay pairs rank `reference`
-  /// among the row's explicit columns, which is O(n) scalar
-  /// classifications — fine for interactive queries, use ForEachInRow for
-  /// bulk traversal.
+  /// reference). A row with an edit record first binary-searches its patch
+  /// list or loose columns (O(log n)); a loose row answers there. Otherwise
+  /// an implicit pair is O(1) and an explicit one ranks `reference` among
+  /// the row's base columns, O(n) scalar classifications (9.8 µs at 4k
+  /// regions, 93 µs at 50k) — readers that hold the class code read only
+  /// kCross pairs here; use ForEachInRow for bulk traversal.
   CardinalRelation Relation(size_t primary, size_t reference) const;
 
   /// Invokes `fn(reference, relation)` for every reference ≠ primary in
@@ -325,6 +333,8 @@ class RelationStore {
   /// change, `now_explicit` its explicitness after; `mask` the new mask
   /// (ignored unless now_explicit). Explicit pairs whose mask is unchanged
   /// must be patched too — the base slot is stale once the profile moved.
+  /// A column inserted into a full loose row grows it by an eighth (+4),
+  /// so a loose row's slack stays a fraction of its live columns.
   void PatchPair(size_t row, size_t col, bool was_explicit, bool now_explicit,
                  uint16_t mask);
 
@@ -338,8 +348,9 @@ class RelationStore {
   void EraseRegion(size_t id);
 
   /// Converts `row`'s patch list to a loose row once it outgrows
-  /// kCompactPatches — O(regions), amortized O(1) per patch. Call after a
-  /// batch of PatchPair applications.
+  /// kCompactPatches — O(regions), amortized O(1) per patch. The loose
+  /// row's lists are sized exactly. Call after a batch of PatchPair
+  /// applications.
   void MaybeCompactRow(size_t row);
 
   /// Re-charges the mem.relation_store arena for the current footprint.

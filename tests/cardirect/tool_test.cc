@@ -296,6 +296,23 @@ TEST_F(ToolTest, StatsCountsEdgeWorkOnThePercentCommand) {
       << table;
 }
 
+TEST_F(ToolTest, StatsCountsQueryBindingsAndDirectionDecisions) {
+  if (!kObsEnabled) GTEST_SKIP() << "counters compiled out";
+  // The demo's three regions: a binds 3 candidates, b 3 per a (12
+  // bindings); the 6 distinct pairs each decide the direction atom. A
+  // loaded configuration reads its <Relation> records, so every decision
+  // is counted as computed and none reads a store.
+  const ToolRun run =
+      RunTool({"--stats", "query", path_, "(a, b) | a {N, S, E, W} b"});
+  ASSERT_EQ(run.exit_code, 0) << run.err;
+  const std::string table =
+      run.out.substr(run.out.find("=== metrics (this run) ==="));
+  EXPECT_EQ(CounterFromTable(table, "query.bindings"), 12u) << table;
+  EXPECT_EQ(CounterFromTable(table, "query.direction.computed"), 6u) << table;
+  EXPECT_EQ(CounterFromTable(table, "query.direction.implicit"), 0u) << table;
+  EXPECT_EQ(CounterFromTable(table, "query.direction.explicit"), 0u) << table;
+}
+
 TEST_F(ToolTest, StatsJsonAndPrometheusFormats) {
   if (!kObsEnabled) GTEST_SKIP() << "counters compiled out";
   const ToolRun json = RunTool({"--stats=json", "relations", path_});

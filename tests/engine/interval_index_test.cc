@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "engine/interval_index.h"
+#include "engine/relation_store.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
@@ -303,6 +304,30 @@ TEST(PolygonBoxesTest, MutationsMatchFreshBuild) {
   regions.erase(regions.begin());
   boxes.EraseRegion(0);
   ExpectPolyBoxesMatchFresh(boxes, regions);
+}
+
+// The sweep's plan keeps these arrays for a computed configuration's
+// lifetime, so a build sizes them exactly: 301 regions of 1–3 polygons
+// (601 polygons, no power of two) hold no growth slack.
+TEST(PolygonBoxesTest, SweepPlanHoldsExactlySizedArrays) {
+  std::vector<Region> regions;
+  size_t polygons = 0;
+  for (int i = 0; i < 301; ++i) {
+    const double x = 20.0 * (i % 20);
+    const double y = 20.0 * (i / 20);
+    Region region(MakeRectangle(x, y, x + 4, y + 4));
+    for (int extra = 0; extra < i % 3; ++extra) {
+      const double dx = 6.0 + 5.0 * extra;
+      region.AddPolygon(MakeRectangle(x + dx, y, x + dx + 3, y + 3));
+    }
+    polygons += region.polygon_count();
+    regions.push_back(std::move(region));
+  }
+  ASSERT_EQ(polygons, 601u);
+  SweepPlan plan;
+  ASSERT_TRUE(SweepJoin(RegionPointers(regions), {}, nullptr, &plan).ok());
+  EXPECT_EQ(plan.poly.bytes(), (regions.size() + 1) * sizeof(uint64_t) +
+                                   4 * polygons * sizeof(double));
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "geometry/polygon.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
+#include "reasoning/disjunctive_relation.h"
 #include "reasoning/interval_algebra.h"
 
 namespace cardir {
@@ -66,6 +67,43 @@ TEST(IntervalKernelTest, TableIsTileAtForResolvableCodesElseEmpty) {
         EXPECT_EQ(relations[code], CardinalRelation(tile))
             << "code " << int(code);
       }
+    }
+  }
+}
+
+// The accept mask is the relation's membership test over the 16 class
+// codes: for every singleton of the 511 basic relations, the empty and the
+// universal relation and mixed disjunctions, bit `code` equals
+// Contains(ClassPairRelations()[code]), and no kCross code is accepted.
+TEST(IntervalKernelTest, AcceptMaskBitIsMembershipOfTheCodesRelation) {
+  std::vector<DisjunctiveRelation> relations = {
+      DisjunctiveRelation(), DisjunctiveRelation::Universal(),
+      *DisjunctiveRelation::Parse("{N, NE, E, N:NE, NE:E}"),
+      *DisjunctiveRelation::Parse("{B, B:N, NW:N:NE, SW}"),
+      *DisjunctiveRelation::Parse("{B:S:SW:W, N:NE}")};
+  for (uint16_t mask = 1; mask < 512; ++mask) {
+    relations.emplace_back(CardinalRelation::FromMask(mask));
+  }
+  const auto& code_relations = ClassPairRelations();
+  for (const DisjunctiveRelation& relation : relations) {
+    const uint16_t accept = ClassCodeAcceptMask(relation);
+    for (uint8_t code = 0; code < kNumClassPairCodes; ++code) {
+      EXPECT_EQ(AcceptsClassCode(accept, code),
+                relation.Contains(code_relations[code]))
+          << relation << " code " << int(code);
+      if ((code >> 2) == 3 || (code & 3) == 3) {
+        EXPECT_FALSE(AcceptsClassCode(accept, code))
+            << relation << " accepts kCross code " << int(code);
+      }
+    }
+  }
+  // The nine tiles' singletons each accept exactly their own code.
+  for (uint8_t xc = 0; xc < 3; ++xc) {
+    for (uint8_t yc = 0; yc < 3; ++yc) {
+      const Tile tile =
+          TileAt(static_cast<TileColumn>(xc), static_cast<TileRow>(yc));
+      EXPECT_EQ(ClassCodeAcceptMask(DisjunctiveRelation(CardinalRelation(tile))),
+                1u << ((xc << 2) | yc));
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "cardirect/query.h"
 #include "core/compute_cdr.h"
 #include "core/compute_cdr_percent.h"
 #include "engine/delta_engine.h"
@@ -18,8 +19,10 @@
 #include "engine/serial_oracle.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
+#include "index/directional_query.h"
 #include "properties/random_instances.h"
 #include "util/random.h"
+#include "workload/scenario_gen.h"
 
 namespace cardir {
 namespace {
@@ -224,6 +227,78 @@ TEST(TsanStressTest, DeltaEngineConcurrentMovesAndDigestReaders) {
   ASSERT_EQ(failures.load(), 0);
 
   EXPECT_EQ(engine.Digest(), SerialDigest(final_regions));
+}
+
+// Readers of one computed, delta-patched configuration: the query
+// evaluator and `related` (FindMatching) read the store and its profile
+// through const paths only, so four threads running both at once must see
+// exactly what a serial run sees. A cache slipping into a const read path
+// races here.
+TEST(TsanStressTest, ConcurrentReadersOfOneConfiguration) {
+  Rng rng(0xC0FFEEu);
+  ScenarioOptions options;
+  options.num_regions = 49;
+  Result<Configuration> generated = GenerateMapConfiguration(&rng, options);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  Configuration& config = *generated;
+  // Grown regions cross many reference lines (loose rows, patched
+  // partners); the removal leaves ghosts.
+  int grown = 0;
+  for (const char* id : {"region3", "region10", "region17", "region24"}) {
+    const double off = 1100.0 + 40.0 * grown++;
+    ASSERT_TRUE(config
+                    .AddPolygonToRegion(
+                        id, MakeRectangle(off, 200.0, off + 20.0, 900.0))
+                    .ok());
+  }
+  ASSERT_TRUE(config.RemoveRegion("region30").ok());
+
+  const std::vector<std::string> anchors = {"region0", "region12",
+                                            "region25", "region48"};
+  const char* const directions = "{N, NE, E, N:NE, NE:E, B:N}";
+  const DisjunctiveRelation relation = *DisjunctiveRelation::Parse(directions);
+  struct Answers {
+    std::vector<std::vector<QueryRow>> rows;
+    std::vector<std::vector<std::string>> related;
+  };
+  const auto read = [&](Answers* answers) {
+    const Result<DirectionalIndex> index = DirectionalIndex::Build(config);
+    if (!index.ok()) return false;
+    for (const std::string& anchor : anchors) {
+      const Result<QueryResult> query = EvaluateQuery(
+          config, "(x, y) | y = " + anchor + ", color(x) = red, x " +
+                      directions + " y");
+      const Result<std::vector<std::string>> found =
+          index->FindMatching(anchor, relation);
+      if (!query.ok() || !found.ok()) return false;
+      answers->rows.push_back(query->rows);
+      answers->related.push_back(*found);
+    }
+    const Result<QueryResult> pairwise =
+        EvaluateQuery(config, "(x, y) | x {S, SW, B:S, S:SW} y");
+    if (!pairwise.ok()) return false;
+    answers->rows.push_back(pairwise->rows);
+    return true;
+  };
+  Answers serial;
+  ASSERT_TRUE(read(&serial));
+  ASSERT_FALSE(serial.rows.back().empty());
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&read, &serial, &mismatches] {
+      for (int round = 0; round < 3; ++round) {
+        Answers answers;
+        if (!read(&answers) || answers.rows != serial.rows ||
+            answers.related != serial.related) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
