@@ -1,9 +1,11 @@
 // Experiment E18 (DESIGN.md): directional queries ("all regions a with
 // a R b") answered by DirectionalIndex::FindMatching, versus a nested loop
 // that runs Compute-CDR on every candidate. FindMatching decides a pair from
-// the two bounding boxes when they allow it and refines the rest; the
-// "refined" counter is the number of Compute-CDR runs per query, read from
-// the index.query.refined metric (so 0 in a -DCARDIR_OBS=OFF build).
+// the two bounding boxes when they allow it and refines the rest (kCross
+// pairs) with the sweep's resolution kernel: the one-axis shortcut, or
+// Compute-CDR when both axes cross. The "refined" counter is the number of
+// kCross pairs per query, read from the index.query.refined metric (so 0 in
+// a -DCARDIR_OBS=OFF build).
 
 #include <benchmark/benchmark.h>
 

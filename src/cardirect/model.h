@@ -98,7 +98,8 @@ class Configuration {
   }
 
   /// The incremental engine holding the computed relations, engaged by
-  /// every successful ComputeAllRelations (test/telemetry hook).
+  /// every successful ComputeAllRelations. DirectionDecider
+  /// (cardirect/query.h) borrows its box profile and polygon boxes.
   const DeltaEngine* delta_engine() const {
     return delta_.has_value() ? &*delta_ : nullptr;
   }
@@ -158,8 +159,11 @@ class Configuration {
   /// row (9.8 µs at 4k regions, 93 µs at 50k); rows with an edit record
   /// binary-search it first. On an XML-loaded configuration it scans the
   /// explicit records, which stay a list until loading rebuilds a store
-  /// from the geometry. The query evaluator does not come through here on
-  /// a computed configuration (cardirect/query.h).
+  /// from the geometry. No read path of the tool comes through here:
+  /// `query` and `related` decide direction atoms from the geometry
+  /// (DirectionDecider, cardirect/query.h), so a loaded record that
+  /// contradicts the geometry is returned here and by `show`, never by a
+  /// query.
   std::optional<CardinalRelation> StoredRelation(
       const std::string& primary_id, const std::string& reference_id) const;
 

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <optional>
 #include <type_traits>
 
-#include "core/compute_cdr.h"
 #include "core/compute_cdr_percent.h"
-#include "engine/interval_kernel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
@@ -350,11 +349,15 @@ class Evaluator {
       : configuration_(configuration),
         query_(query),
         regions_(configuration.regions()),
-        store_(configuration.relation_store()),
         atoms_at_(query.variables.size()) {}
 
   Result<QueryResult> Run() {
     CARDIR_RETURN_IF_ERROR(Compile());
+    // Only a query with a direction atom needs the decider, which profiles
+    // every region of an uncomputed configuration.
+    if (!query_.direction_conditions.empty()) {
+      directions_.emplace(configuration_);
+    }
     const size_t num_vars = query_.variables.size();
     // Per-variable candidate positions from unary conditions.
     std::vector<std::vector<uint32_t>> candidates(num_vars);
@@ -364,24 +367,17 @@ class Evaluator {
     std::vector<uint32_t> binding(num_vars, 0);
     const Status searched = Search(candidates, 0, &binding, &result);
     // One flush per query keeps the per-binding loop counter-free.
-    CARDIR_METRIC_COUNT("query.bindings", tally_.bindings);
-    CARDIR_METRIC_COUNT("query.direction.implicit", tally_.implicit);
-    CARDIR_METRIC_COUNT("query.direction.explicit", tally_.explicit_reads);
-    CARDIR_METRIC_COUNT("query.direction.computed", tally_.computed);
+    CARDIR_METRIC_COUNT("query.bindings", bindings_);
+    CARDIR_METRIC_COUNT("query.direction.implicit",
+                        directions_ ? directions_->implicit_pairs() : 0);
+    CARDIR_METRIC_COUNT("query.direction.explicit",
+                        directions_ ? directions_->explicit_pairs() : 0);
     CARDIR_RETURN_IF_ERROR(searched);
     std::sort(result.rows.begin(), result.rows.end());
     return result;
   }
 
  private:
-  // What the search did, flushed to the query.* counters once per query.
-  struct Tally {
-    uint64_t bindings = 0;        // Candidates bound, over all depths.
-    uint64_t implicit = 0;        // Direction pairs the accept mask decided.
-    uint64_t explicit_reads = 0;  // kCross pairs read from the store.
-    uint64_t computed = 0;        // Pairs from a record or Compute-CDR.
-  };
-
   // Resolves every binary atom's variables and files it under the depth of
   // its later variable, category by category, so each depth checks its
   // directions first, then topology, distance, distance() and percent().
@@ -466,38 +462,23 @@ class Evaluator {
     return out;
   }
 
-  // A direction atom over the computed store: the pair's class code decides
-  // it by one accept-mask bit, and only a kCross pair reads its relation.
-  bool StoredDirectionHolds(const BinaryAtom& atom, uint32_t primary,
-                            uint32_t reference) {
-    const uint8_t code = ClassPairCode(store_->profile(), primary, reference);
-    if (RelationStore::ResolvableCode(code)) {
-      ++tally_.implicit;
-      return AcceptsClassCode(atom.accept, code);
-    }
-    ++tally_.explicit_reads;
-    return query_.direction_conditions[atom.condition].relation.Contains(
-        store_->Relation(primary, reference));
+  // A direction atom on bound positions `primary` ≠ `reference`.
+  bool DirectionHolds(const BinaryAtom& atom, uint32_t primary,
+                      uint32_t reference) {
+    return directions_->Holds(
+        primary, reference,
+        query_.direction_conditions[atom.condition].relation, atom.accept);
   }
 
   // Any binary atom on bound positions `primary` ≠ `reference`, from the
-  // geometry (a direction atom: from the stored record, else Compute-CDR).
+  // geometry.
   Result<bool> Holds(const BinaryAtom& atom, uint32_t primary,
                      uint32_t reference) {
     const AnnotatedRegion& p = regions_[primary];
     const AnnotatedRegion& r = regions_[reference];
     switch (atom.kind) {
-      case BinaryAtom::Kind::kDirection: {
-        ++tally_.computed;
-        const DisjunctiveRelation& relation =
-            query_.direction_conditions[atom.condition].relation;
-        std::optional<CardinalRelation> stored =
-            configuration_.StoredRelation(p.id, r.id);
-        if (stored.has_value()) return relation.Contains(*stored);
-        CARDIR_ASSIGN_OR_RETURN(CardinalRelation actual,
-                                ComputeCdr(p.geometry, r.geometry));
-        return relation.Contains(actual);
-      }
+      case BinaryAtom::Kind::kDirection:
+        return DirectionHolds(atom, primary, reference);
       case BinaryAtom::Kind::kTopology: {
         CARDIR_ASSIGN_OR_RETURN(TopologicalRelation actual,
                                 ComputeTopology(p.geometry, r.geometry));
@@ -541,7 +522,7 @@ class Evaluator {
       return Status::Ok();
     }
     const std::vector<BinaryAtom>& atoms = atoms_at_[depth];
-    tally_.bindings += candidates[depth].size();
+    bindings_ += candidates[depth].size();
     for (const uint32_t candidate : candidates[depth]) {
       (*binding)[depth] = candidate;
       bool holds = true;
@@ -550,9 +531,9 @@ class Evaluator {
         const uint32_t reference = (*binding)[atom.reference];
         if (primary == reference) {
           holds = false;
-        } else if (atom.kind == BinaryAtom::Kind::kDirection &&
-                   store_ != nullptr) {
-          holds = StoredDirectionHolds(atom, primary, reference);
+        } else if (atom.kind == BinaryAtom::Kind::kDirection) {
+          // The hot atom skips Holds' Result.
+          holds = DirectionHolds(atom, primary, reference);
         } else {
           CARDIR_ASSIGN_OR_RETURN(holds, Holds(atom, primary, reference));
         }
@@ -568,15 +549,40 @@ class Evaluator {
   const Configuration& configuration_;
   const Query& query_;
   const std::vector<AnnotatedRegion>& regions_;
-  // The computed store, or nullptr: XML-loaded and uncomputed
-  // configurations decide direction atoms through Holds.
-  const RelationStore* store_;
   // Binary atoms by the head index of their later variable.
   std::vector<std::vector<BinaryAtom>> atoms_at_;
-  Tally tally_;
+  // Decides every direction pair; engaged when the query has a direction
+  // atom.
+  std::optional<DirectionDecider> directions_;
+  uint64_t bindings_ = 0;  // Candidates bound, over all depths.
 };
 
 }  // namespace
+
+DirectionDecider::DirectionDecider(const Configuration& configuration)
+    : regions_(configuration.regions()) {
+  if (const DeltaEngine* engine = configuration.delta_engine()) {
+    profile_ = &engine->store().profile();
+    poly_ = &engine->plan().poly;
+    return;
+  }
+  std::vector<Box> boxes;
+  std::vector<const Region*> geometries;
+  boxes.reserve(regions_.size());
+  geometries.reserve(regions_.size());
+  for (const AnnotatedRegion& region : regions_) {
+    boxes.push_back(region.geometry.BoundingBox());
+    geometries.push_back(&region.geometry);
+  }
+  built_profile_ = RegionProfile::FromBoxes(boxes);
+  built_poly_.Build(geometries);
+}
+
+uint16_t DirectionDecider::Resolve(uint8_t code, size_t x, size_t y) {
+  return ResolveExplicitMask(code, regions_[x].geometry, profile_->box(y),
+                             *profile_, x, y, *poly_, &cdr_metrics_,
+                             &scratch_);
+}
 
 Result<Query> Query::Parse(std::string_view text) {
   CARDIR_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));

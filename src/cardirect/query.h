@@ -26,31 +26,36 @@
 // bindings are positions in regions(), and each binary atom is checked at
 // the search depth where the later of its two variables binds. A
 // direction atom's relation compiles to a 16-bit accept mask over
-// class-pair codes (ClassCodeAcceptMask, engine/interval_kernel.h). On a
-// computed configuration a pair is then one ClassPairCode over the store's
-// box profile and a bit test, which decides 95–98% of pairs on map-like
-// inputs; only kCross pairs read RelationStore::Relation. An XML-loaded
-// configuration reads its <Relation> records per pair, and a pair no
-// record states (or any pair of an uncomputed configuration) runs
-// Compute-CDR. Topological, distance, distance() and percent() atoms are
-// always computed from the geometry, afresh each time a binding is
-// checked; nothing is cached.
+// class-pair codes (ClassCodeAcceptMask, engine/interval_kernel.h), and
+// every direction pair is decided by the DirectionDecider below: the
+// pair's class code and one mask bit, which decides 95–98% of pairs on
+// map-like inputs, and for a kCross pair the sweep's resolution kernel.
+// A direction atom is therefore decided from the geometry in every state
+// of the configuration — uncomputed, computed, edited or loaded from XML —
+// and never from a stored relation: XML-loaded <Relation> records are not
+// read. Topological, distance, distance() and percent() atoms are computed
+// from the geometry too, afresh each time a binding is checked; nothing is
+// cached.
 //
 // Each evaluation runs in a `query.eval` span and adds, once per query,
 // `query.bindings` (candidates bound, over all variables),
-// `query.direction.implicit` (pairs the accept mask decided),
-// `query.direction.explicit` (kCross pairs read from the store) and
-// `query.direction.computed` (pairs read from a record or computed).
+// `query.direction.implicit` (pairs the accept mask decided) and
+// `query.direction.explicit` (kCross pairs the resolution kernel decided).
 
 #ifndef CARDIR_CARDIRECT_QUERY_H_
 #define CARDIR_CARDIRECT_QUERY_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "cardirect/model.h"
+#include "core/compute_cdr.h"
+#include "engine/interval_index.h"
+#include "engine/interval_kernel.h"
+#include "engine/relation_store.h"
 #include "extensions/distance.h"
 #include "extensions/topology.h"
 #include "reasoning/disjunctive_relation.h"
@@ -149,6 +154,59 @@ struct QueryRow {
 struct QueryResult {
   std::vector<std::string> variables;
   std::vector<QueryRow> rows;
+};
+
+/// Decides direction atoms `x R y` between regions of one configuration
+/// the one way the sweep and the delta engine decide a pair: the class-pair
+/// code of the two boxes (ClassPairCode) settles R by one bit of its accept
+/// mask when the boxes alone decide the pair; a kCross pair (boxes crossing
+/// a reference line) runs the sweep's resolution kernel on x's geometry
+/// (ResolveExplicitMask: the one-axis shortcut, or Compute-CDR when both
+/// axes cross or a box is degenerate). On a computed configuration the
+/// decider borrows the store's box profile and the engine's polygon boxes,
+/// unsynchronized like DeltaEngine::store(); on any other it builds both
+/// once, from the geometry. It reads no stored relation — neither the
+/// store's explicit pairs nor XML-loaded <Relation> records — so its answer
+/// is the relation ComputeAllRelations would store. One decider per thread;
+/// the configuration must outlive it unchanged.
+class DirectionDecider {
+ public:
+  explicit DirectionDecider(const Configuration& configuration);
+  DirectionDecider(const DirectionDecider&) = delete;
+  DirectionDecider& operator=(const DirectionDecider&) = delete;
+  /// Flushes the core.* Compute-CDR counters of the pairs it resolved.
+  ~DirectionDecider() { cdr_metrics_.FlushToRegistry(); }
+
+  /// Whether regions()[x] R regions()[y], for positions x ≠ y, where
+  /// `accept` is ClassCodeAcceptMask(relation).
+  bool Holds(size_t x, size_t y, const DisjunctiveRelation& relation,
+             uint16_t accept) {
+    const uint8_t code = ClassPairCode(*profile_, x, y);
+    if (RelationStore::ResolvableCode(code)) {
+      ++implicit_pairs_;
+      return AcceptsClassCode(accept, code);
+    }
+    ++explicit_pairs_;
+    return relation.Contains(CardinalRelation::FromMask(Resolve(code, x, y)));
+  }
+
+  /// Pairs an accept-mask bit decided.
+  uint64_t implicit_pairs() const { return implicit_pairs_; }
+  /// kCross pairs the resolution kernel decided.
+  uint64_t explicit_pairs() const { return explicit_pairs_; }
+
+ private:
+  uint16_t Resolve(uint8_t code, size_t x, size_t y);
+
+  const std::vector<AnnotatedRegion>& regions_;
+  RegionProfile built_profile_;  // Empty on a computed configuration…
+  PolygonBoxes built_poly_;      // …as is this.
+  const RegionProfile* profile_ = &built_profile_;
+  const PolygonBoxes* poly_ = &built_poly_;
+  CdrMetricsDelta cdr_metrics_;
+  CdrScratch scratch_;
+  uint64_t implicit_pairs_ = 0;
+  uint64_t explicit_pairs_ = 0;
 };
 
 /// Evaluates `query` over `configuration`. Distinct variables may bind the

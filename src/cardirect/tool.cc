@@ -35,7 +35,8 @@ constexpr const char* kUsage =
     "                     (SIGSEGV/SIGABRT/SIGBUS) or on clean exit\n"
     "  --profile=FILE     sample wall-clock stacks while the command runs\n"
     "                     and write collapsed (flamegraph) lines to FILE\n"
-    "  --profile-hz=N     sampling rate for --profile (default 97)\n"
+    "  --profile-hz=N     sampling rate for --profile (default 97); a run\n"
+    "                     under ~1 s needs a higher rate, such as 997\n"
     "  create <out.xml> [name] [image]      start an empty configuration\n"
     "  add-region <xml> <id> <color> <x,y> <x,y> <x,y>...\n"
     "                                       annotate a polygon region\n"
@@ -54,6 +55,9 @@ constexpr const char* kUsage =
     "                                       computed from the geometry\n"
     "  query <config.xml> <query>           evaluate a query, e.g.\n"
     "      '(a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b'\n"
+    "                                       direction atoms are decided from\n"
+    "                                       the geometry; stored <Relation>\n"
+    "                                       records are not read\n"
     "  validate <config.xml>                strict geometry validation\n"
     "  demo <out.xml>                       write a sample configuration\n"
     "  check <constraints.txt>              decide consistency of a\n"

@@ -219,8 +219,8 @@ Result<DeltaResult> DeltaEngine::Insert(const Region& region,
 
   store_.AppendRegion(box);
   plan_.poly.AppendRegion(region);
-  plan_.x_index.Append(box.min_x(), box.max_x(), degenerate);
-  plan_.y_index.Append(box.min_y(), box.max_y(), degenerate);
+  plan_.x_index.Append(XIntervals(store_.profile_));
+  plan_.y_index.Append(YIntervals(store_.profile_));
   if (degenerate) plan_.degenerate_ids.push_back(static_cast<uint32_t>(id));
   return ResolveAndPatch(id, region, region_at, start_us, "delta.insert");
 }
@@ -250,8 +250,8 @@ Result<DeltaResult> DeltaEngine::Move(size_t id, const Region& geometry,
 
   store_.SetRegionBox(id, new_box);
   plan_.poly.ReplaceRegion(id, geometry);
-  plan_.x_index.Update(id, new_box.min_x(), new_box.max_x(), new_degenerate);
-  plan_.y_index.Update(id, new_box.min_y(), new_box.max_y(), new_degenerate);
+  plan_.x_index.Update(id, XIntervals(profile));
+  plan_.y_index.Update(id, YIntervals(profile));
   SetDegenerate(id, new_degenerate);
 
   // Re-resolve the dirty pairs against the updated profile: row id is
@@ -274,17 +274,6 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
   }
   const DeltaScratch& ws = scratch_;
 
-  plan_.x_index.Remove(id);
-  plan_.y_index.Remove(id);
-  SetDegenerate(id, false);
-  std::vector<uint32_t>& degenerate_ids = plan_.degenerate_ids;
-  for (auto it = std::lower_bound(degenerate_ids.begin(),
-                                  degenerate_ids.end(),
-                                  static_cast<uint32_t>(id));
-       it != degenerate_ids.end(); ++it) {
-    --*it;  // Ids above the erased one renumber down.
-  }
-
   DeltaResult result;
   result.touched.reserve(ws.affected.size() * 2);
   for (const uint32_t j : ws.affected) {
@@ -303,6 +292,17 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
       store_.MaybeCompactRow(j > id ? j - 1 : j);
     }
     store_.RechargeMem();
+  }
+  // After EraseRegion: the indexes read their intervals from the profile.
+  plan_.x_index.Remove(id, XIntervals(profile));
+  plan_.y_index.Remove(id, YIntervals(profile));
+  SetDegenerate(id, false);
+  std::vector<uint32_t>& degenerate_ids = plan_.degenerate_ids;
+  for (auto it = std::lower_bound(degenerate_ids.begin(),
+                                  degenerate_ids.end(),
+                                  static_cast<uint32_t>(id));
+       it != degenerate_ids.end(); ++it) {
+    --*it;  // Ids above the erased one renumber down.
   }
   RechargeAux();
   PublishIndexHealth();

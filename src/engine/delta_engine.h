@@ -34,9 +34,10 @@
 // Locking discipline: one mutex serializes Insert/Move/Remove/Digest; the
 // per-engine DeltaScratch and the borrowed geometry are read under that
 // lock, and the caller keeps the geometry it hands out unchanged during
-// the call. `store()` returns the live store without locking — callers
-// synchronize reads against mutations themselves (Configuration is
-// single-threaded; concurrent readers take Digest() or copy the engine).
+// the call. `store()` and `plan()` return the live store and plan without
+// locking — callers synchronize reads against mutations themselves
+// (Configuration is single-threaded; concurrent readers take Digest() or
+// copy the engine).
 
 #ifndef CARDIR_ENGINE_DELTA_ENGINE_H_
 #define CARDIR_ENGINE_DELTA_ENGINE_H_
@@ -142,6 +143,10 @@ class DeltaEngine {
 
   /// The live store (unsynchronized — see the locking discipline above).
   const RelationStore& store() const { return store_; }
+
+  /// The sweep's plan as the mutations keep it (unsynchronized, like
+  /// store()); its polygon boxes are parallel to the store's regions.
+  const SweepPlan& plan() const { return plan_; }
 
   /// Footprint of the store, the plan and the scratch.
   size_t bytes() const;

@@ -9,22 +9,13 @@ namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 }  // namespace
 
-void IntervalOverlapIndex::Build(const std::vector<double>& lo,
-                                 const std::vector<double>& hi,
-                                 const std::vector<uint8_t>& skip) {
-  cur_lo_ = lo;
-  cur_hi_ = hi;
-  cur_skip_ = skip;
-  Rebuild();
-}
-
-void IntervalOverlapIndex::Rebuild() {
-  const size_t n = cur_lo_.size();
+void IntervalOverlapIndex::Build(const AxisIntervals& axis) {
+  const size_t n = axis.lo.size();
   ids_.clear();
   for (size_t i = 0; i < n; ++i) {
-    if (cur_skip_[i] == 0) ids_.push_back(static_cast<uint32_t>(i));
+    if (axis.skip[i] == 0) ids_.push_back(static_cast<uint32_t>(i));
   }
-  const std::vector<double>& lo = cur_lo_;
+  const std::vector<double>& lo = axis.lo;
   std::sort(ids_.begin(), ids_.end(), [&lo](uint32_t a, uint32_t b) {
     return lo[a] < lo[b] || (lo[a] == lo[b] && a < b);
   });
@@ -33,8 +24,8 @@ void IntervalOverlapIndex::Rebuild() {
   hi_.resize(m);
   pos_.assign(n, kAbsent);
   for (size_t p = 0; p < m; ++p) {
-    lo_[p] = cur_lo_[ids_[p]];
-    hi_[p] = cur_hi_[ids_[p]];
+    lo_[p] = axis.lo[ids_[p]];
+    hi_[p] = axis.hi[ids_[p]];
     pos_[ids_[p]] = p;
   }
   block_max_.assign((m + kBlock - 1) / kBlock, kNegInf);
@@ -49,11 +40,11 @@ void IntervalOverlapIndex::Rebuild() {
   dead_ = 0;
 }
 
-void IntervalOverlapIndex::RebuildIfStale() {
+void IntervalOverlapIndex::RebuildIfStale(const AxisIntervals& axis) {
   if (pending() <= rebuild_threshold()) return;
   CARDIR_TRACE_SPAN("delta.index_rebuild");
   CARDIR_METRIC_COUNT("delta.index.rebuilds", 1);
-  Rebuild();
+  Build(axis);
 }
 
 void IntervalOverlapIndex::RemoveOverflowAt(size_t slot) {
@@ -69,10 +60,10 @@ void IntervalOverlapIndex::RemoveOverflowAt(size_t slot) {
   overflow_hi_.pop_back();
 }
 
-void IntervalOverlapIndex::Update(size_t id, double lo, double hi, bool skip) {
-  cur_lo_[id] = lo;
-  cur_hi_[id] = hi;
-  cur_skip_[id] = skip ? 1 : 0;
+void IntervalOverlapIndex::Update(size_t id, const AxisIntervals& axis) {
+  const double lo = axis.lo[id];
+  const double hi = axis.hi[id];
+  const bool skip = axis.skip[id] != 0;
   uint64_t pos = pos_[id];
   if (pos != kAbsent && (pos & kOverflowTag) == 0) {
     // Live main entry: tombstone it. The block maxima above it go stale
@@ -97,25 +88,22 @@ void IntervalOverlapIndex::Update(size_t id, double lo, double hi, bool skip) {
     overflow_lo_.push_back(lo);
     overflow_hi_.push_back(hi);
   }
-  RebuildIfStale();
+  RebuildIfStale(axis);
 }
 
-void IntervalOverlapIndex::Append(double lo, double hi, bool skip) {
-  cur_lo_.push_back(lo);
-  cur_hi_.push_back(hi);
-  cur_skip_.push_back(skip ? 1 : 0);
+void IntervalOverlapIndex::Append(const AxisIntervals& axis) {
+  const size_t id = pos_.size();
   pos_.push_back(kAbsent);
-  if (!skip) {
-    const size_t id = cur_lo_.size() - 1;
+  if (axis.skip[id] == 0) {
     pos_[id] = kOverflowTag | overflow_ids_.size();
     overflow_ids_.push_back(static_cast<uint32_t>(id));
-    overflow_lo_.push_back(lo);
-    overflow_hi_.push_back(hi);
+    overflow_lo_.push_back(axis.lo[id]);
+    overflow_hi_.push_back(axis.hi[id]);
   }
-  RebuildIfStale();
+  RebuildIfStale(axis);
 }
 
-void IntervalOverlapIndex::Remove(size_t id) {
+void IntervalOverlapIndex::Remove(size_t id, const AxisIntervals& axis) {
   // Retire the entry under the old numbering first (RemoveOverflowAt
   // rewrites pos_ of the slot it moves).
   const uint64_t pos = pos_[id];
@@ -125,18 +113,14 @@ void IntervalOverlapIndex::Remove(size_t id) {
   } else if (pos != kAbsent) {
     RemoveOverflowAt(static_cast<size_t>(pos & ~kOverflowTag));
   }
-  const ptrdiff_t at = static_cast<ptrdiff_t>(id);
-  cur_lo_.erase(cur_lo_.begin() + at);
-  cur_hi_.erase(cur_hi_.begin() + at);
-  cur_skip_.erase(cur_skip_.begin() + at);
-  pos_.erase(pos_.begin() + at);
+  pos_.erase(pos_.begin() + static_cast<ptrdiff_t>(id));
   // Renumber: every id above the erased one moves down by one. The map is
   // monotone, so the (lo, id) order of the main arrays stays sorted and no
   // re-sort is needed. A tombstone's stale id is never reported.
   const uint32_t id32 = static_cast<uint32_t>(id);
   for (uint32_t& other : ids_) other -= other > id32 ? 1u : 0u;
   for (uint32_t& other : overflow_ids_) other -= other > id32 ? 1u : 0u;
-  RebuildIfStale();
+  RebuildIfStale(axis);
 }
 
 void PolygonBoxes::Build(const std::vector<const Region*>& regions) {

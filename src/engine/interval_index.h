@@ -8,7 +8,8 @@
 //     buffer, and an amortized rebuild re-sorts once the dead+overflow
 //     fraction crosses a threshold (no balanced tree — the flat
 //     block-summary layout is what makes the queries fast, so mutations
-//     pay a deferred re-sort instead of per-update pointer surgery).
+//     pay a deferred re-sort instead of per-update pointer surgery). The
+//     intervals themselves are the caller's box profile, passed per call.
 //   * CandidateBitset — the per-row mark/drain bitset that unions the two
 //     axis queries (plus the degenerate ids) into an ascending-id candidate
 //     stream without a per-row sort.
@@ -16,7 +17,9 @@
 //     explicit-pair resolution kernel (one-axis-cross shortcut, full
 //     Compute-CDR for both-axes-cross/degenerate pairs). Keeping resolution
 //     here guarantees the delta path recomputes exactly the masks the sweep
-//     would emit — the Digest equivalence contract depends on it.
+//     would emit — the Digest equivalence contract depends on it — and the
+//     readers' DirectionDecider (cardirect/query.h) decides kCross pairs
+//     with the same kernel.
 
 #ifndef CARDIR_ENGINE_INTERVAL_INDEX_H_
 #define CARDIR_ENGINE_INTERVAL_INDEX_H_
@@ -36,6 +39,23 @@
 
 namespace cardir {
 
+/// One axis of a box profile as an IntervalOverlapIndex reads it: id i
+/// covers [lo[i], hi[i]] and is indexed unless skip[i] != 0 (degenerate
+/// boxes are enumerated separately). Borrowed for one call.
+struct AxisIntervals {
+  const std::vector<double>& lo;
+  const std::vector<double>& hi;
+  const std::vector<uint8_t>& skip;
+};
+
+/// The x and y axes of `profile`, skipping its degenerate boxes.
+inline AxisIntervals XIntervals(const RegionProfile& profile) {
+  return {profile.min_x, profile.max_x, profile.cross_override};
+}
+inline AxisIntervals YIntervals(const RegionProfile& profile) {
+  return {profile.min_y, profile.max_y, profile.cross_override};
+}
+
 /// Interval-overlap index over one axis of the non-degenerate boxes:
 /// entries sorted by interval start, pruned by a two-level max-over-ends
 /// block summary. ForEachOverlap reports every indexed interval strictly
@@ -47,13 +67,18 @@ namespace cardir {
 /// over a dense summary array rather than a branchy recursive descent, and
 /// surviving blocks are scanned as contiguous doubles.
 ///
+/// The index keeps no copy of the intervals it covers: every call that can
+/// re-sort takes the caller's per-id arrays (AxisIntervals — one axis of
+/// the relation store's box profile in the engine), already updated for
+/// the mutation it reports.
+///
 /// Mutations (Update/Append/Remove) keep queries exact without re-sorting
 /// per call: the stale sorted entry is tombstoned (its end set to −inf, so
 /// the possibly-stale block maxima stay *conservative* — a block is skipped
 /// only when its recorded max end fails the query, which the true max then
 /// fails too), the live interval goes to an overflow buffer scanned
-/// linearly per query, and the whole index rebuilds from its authoritative
-/// per-id state once dead + overflow entries exceed rebuild_threshold() =
+/// linearly per query, and the whole index rebuilds from the caller's
+/// arrays once dead + overflow entries exceed rebuild_threshold() =
 /// max(64, size/8). Remove renumbers the ids above the erased one in place:
 /// the renumbering is monotone, so the sorted order survives it. Only the
 /// delta engine mutates an index, so a mutation-triggered rebuild records
@@ -63,26 +88,25 @@ class IntervalOverlapIndex {
   static constexpr size_t kBlock = 64;           // Entries per block.
   static constexpr size_t kSuper = 64 * kBlock;  // Entries per superblock.
 
-  /// (Re)builds from scratch: entry i covers [lo[i], hi[i]] and is indexed
-  /// unless skip[i] != 0 (degenerate boxes are enumerated separately).
-  void Build(const std::vector<double>& lo, const std::vector<double>& hi,
-             const std::vector<uint8_t>& skip);
+  /// (Re)builds from scratch over every id of `axis`.
+  void Build(const AxisIntervals& axis);
 
-  /// Replaces entry `id`'s interval (id < size()); skip removes it from
-  /// query results. Amortized O(1) + the deferred rebuild share.
-  void Update(size_t id, double lo, double hi, bool skip);
+  /// Entry `id` (id < size()) now has the interval `axis` gives it; a
+  /// skipped entry leaves query results. Amortized O(1) + the deferred
+  /// rebuild share.
+  void Update(size_t id, const AxisIntervals& axis);
 
-  /// Appends the entry for a brand-new id == size().
-  void Append(double lo, double hi, bool skip);
+  /// Adds the entry for a brand-new id == size(), `axis`'s last.
+  void Append(const AxisIntervals& axis);
 
   /// Erases entry `id` and renumbers every id above it down by one — the
-  /// contract of RelationStore::EraseRegion. O(size) memmove-class work (the
-  /// per-id arrays shift, one pass renumbers the sorted ids) + the deferred
-  /// rebuild share.
-  void Remove(size_t id);
+  /// contract of RelationStore::EraseRegion, which has already erased it
+  /// from `axis`. O(size) memmove-class work (the position map shifts, one
+  /// pass renumbers the sorted ids) + the deferred rebuild share.
+  void Remove(size_t id, const AxisIntervals& axis);
 
   /// Ids covered (including skipped/tombstoned ones).
-  size_t size() const { return cur_lo_.size(); }
+  size_t size() const { return pos_.size(); }
 
   /// Tombstoned + overflow entries awaiting the amortized rebuild (reaches
   /// 0 right after a rebuild).
@@ -94,10 +118,9 @@ class IntervalOverlapIndex {
   size_t bytes() const {
     return (ids_.capacity() + overflow_ids_.capacity()) * sizeof(uint32_t) +
            (lo_.capacity() + hi_.capacity() + block_max_.capacity() +
-            super_max_.capacity() + cur_lo_.capacity() + cur_hi_.capacity() +
-            overflow_lo_.capacity() + overflow_hi_.capacity()) *
+            super_max_.capacity() + overflow_lo_.capacity() +
+            overflow_hi_.capacity()) *
                sizeof(double) +
-           cur_skip_.capacity() * sizeof(uint8_t) +
            pos_.capacity() * sizeof(uint64_t);
   }
 
@@ -134,8 +157,7 @@ class IntervalOverlapIndex {
   static constexpr uint64_t kAbsent = ~uint64_t{0};
   static constexpr uint64_t kOverflowTag = uint64_t{1} << 63;
 
-  void Rebuild();
-  void RebuildIfStale();
+  void RebuildIfStale(const AxisIntervals& axis);
   void RemoveOverflowAt(size_t slot);
 
   std::vector<uint32_t> ids_;      // Indexed ids, sorted by lo.
@@ -143,9 +165,6 @@ class IntervalOverlapIndex {
   std::vector<double> hi_;         // Interval ends (−inf = tombstone).
   std::vector<double> block_max_;  // Max end per kBlock entries.
   std::vector<double> super_max_;  // Max end per kSuper entries.
-  // Authoritative per-id state the amortized rebuild re-sorts from.
-  std::vector<double> cur_lo_, cur_hi_;
-  std::vector<uint8_t> cur_skip_;
   std::vector<uint64_t> pos_;  // id → main position / overflow slot / absent.
   // Updated-but-not-yet-rebuilt live entries, scanned linearly per query.
   std::vector<uint32_t> overflow_ids_;

@@ -128,8 +128,8 @@ Result<RelationStore> SweepJoin(const std::vector<const Region*>& regions,
     if constexpr (kAuditEnabled) {
       CARDIR_RETURN_IF_ERROR(ValidateClassKernelOnce());
     }
-    plan->x_index.Build(profile.min_x, profile.max_x, profile.cross_override);
-    plan->y_index.Build(profile.min_y, profile.max_y, profile.cross_override);
+    plan->x_index.Build(XIntervals(profile));
+    plan->y_index.Build(YIntervals(profile));
     plan->degenerate_ids.clear();
     for (size_t i = 0; i < n; ++i) {
       if (profile.cross_override[i] != 0) {

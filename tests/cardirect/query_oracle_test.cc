@@ -3,14 +3,15 @@
 // evaluator that enumerates all tuples and decides each direction atom with
 // Compute-CDR on the geometry.
 //
-// The states cover each way the evaluator decides a direction atom:
-// uncomputed (Compute-CDR per pair), computed (accept mask over the store's
-// profile, store reads for kCross pairs), computed and then edited until
-// the store holds both patched and loose rows, and XML round-tripped (the
-// <Relation> record path). The inputs are generated maps (mostly
-// box-decided pairs), overlapping regions (mostly kCross pairs) and
-// rectangles whose edges lie on each other's lines (the inclusive boundary
-// rule).
+// Every state decides a direction atom one way (DirectionDecider: the
+// class-pair code, then the sweep's resolution kernel for kCross pairs);
+// the states cover where the decider's box profile and polygon boxes come
+// from: uncomputed (built per query), computed (borrowed from the engine),
+// computed and then edited until the store holds both patched and loose
+// rows, and XML round-tripped (built per query; the <Relation> records are
+// not read). The inputs are generated maps (mostly box-decided pairs),
+// overlapping regions (mostly kCross pairs) and rectangles whose edges lie
+// on each other's lines (the inclusive boundary rule).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "cardirect/query.h"
 #include "cardirect/xml.h"
 #include "core/compute_cdr.h"
+#include "index/directional_query.h"
 #include "obs/metrics.h"
 #include "util/random.h"
 #include "workload/region_gen.h"
@@ -216,8 +218,9 @@ std::vector<QueryRow> BruteForceRows(const Configuration& config,
 // How the evaluator decided its direction atoms, summed over a state.
 struct Decisions {
   uint64_t implicit = 0;
-  uint64_t explicit_reads = 0;
-  uint64_t computed = 0;
+  uint64_t explicit_pairs = 0;
+
+  friend bool operator==(const Decisions&, const Decisions&) = default;
 };
 
 Decisions ExpectMatchesBruteForce(const Configuration& config,
@@ -237,8 +240,7 @@ Decisions ExpectMatchesBruteForce(const Configuration& config,
   }
   const obs::MetricsSnapshot delta = obs::CaptureMetrics().Diff(before);
   return {delta.counter("query.direction.implicit"),
-          delta.counter("query.direction.explicit"),
-          delta.counter("query.direction.computed")};
+          delta.counter("query.direction.explicit")};
 }
 
 // Runs the queries over the four states of `config` (uncomputed on entry).
@@ -271,17 +273,15 @@ void ExpectMatchesInEveryState(Configuration config, const std::string& label) {
       ExpectMatchesBruteForce(*reopened, label + " XML round-tripped");
 
   if (!kObsEnabled) return;
-  // A computed configuration decides every direction pair from the class
-  // code or a store read; the others never touch the store.
-  for (const Decisions& d : {computed, edited}) {
+  // One rule in every state: each direction pair is decided by its class
+  // code or by the resolution kernel, whatever the configuration stores,
+  // so two states over the same geometry split their pairs alike.
+  for (const Decisions& d : {uncomputed, computed, edited, records}) {
     EXPECT_GT(d.implicit, 0u) << label;
-    EXPECT_GT(d.explicit_reads, 0u) << label;
-    EXPECT_EQ(d.computed, 0u) << label;
+    EXPECT_GT(d.explicit_pairs, 0u) << label;
   }
-  for (const Decisions& d : {uncomputed, records}) {
-    EXPECT_EQ(d.implicit + d.explicit_reads, 0u) << label;
-    EXPECT_GT(d.computed, 0u) << label;
-  }
+  EXPECT_TRUE(uncomputed == computed) << label;
+  EXPECT_TRUE(edited == records) << label;
 }
 
 TEST(QueryOracleTest, GeneratedMapsMatchBruteForceInEveryState) {
@@ -301,6 +301,37 @@ TEST(QueryOracleTest, OverlappingRegionsMatchBruteForceInEveryState) {
 
 TEST(QueryOracleTest, TouchingRectanglesMatchBruteForceInEveryState) {
   ExpectMatchesInEveryState(TouchingRectangles(), "touching rectangles");
+}
+
+// An uncomputed one-polygon map: the decider builds the box profile and
+// polygon boxes itself. Regions in disjoint grid cells never cross on both
+// axes, so every kCross pair, of `query` and of `related` alike, takes the
+// one-axis shortcut and Compute-CDR never runs.
+TEST(QueryOracleTest, UncomputedMapDecidesKCrossPairsWithoutComputeCdr) {
+  if (!kObsEnabled) GTEST_SKIP() << "counters compiled out";
+  const Configuration config = GeneratedMap(1, 1);
+  ASSERT_EQ(config.relation_store(), nullptr);
+
+  const obs::MetricsSnapshot before = obs::CaptureMetrics();
+  for (const std::string& text : Queries(config)) {
+    ASSERT_TRUE(EvaluateQuery(config, text).ok()) << text;
+  }
+  const obs::MetricsSnapshot queried = obs::CaptureMetrics().Diff(before);
+  EXPECT_GT(queried.counter("query.direction.explicit"), 0u);
+  EXPECT_EQ(queried.counter("core.cdr.runs"), 0u);
+
+  const obs::MetricsSnapshot before_related = obs::CaptureMetrics();
+  const Result<DirectionalIndex> index = DirectionalIndex::Build(config);
+  ASSERT_TRUE(index.ok()) << index.status();
+  const DisjunctiveRelation relation =
+      *DisjunctiveRelation::Parse("{N, NE, E, N:NE, NE:E, B:N, B:S:SW:W}");
+  for (const AnnotatedRegion& region : config.regions()) {
+    ASSERT_TRUE(index->FindMatching(region.id, relation).ok()) << region.id;
+  }
+  const obs::MetricsSnapshot related =
+      obs::CaptureMetrics().Diff(before_related);
+  EXPECT_GT(related.counter("index.query.refined"), 0u);
+  EXPECT_EQ(related.counter("core.cdr.runs"), 0u);
 }
 
 }  // namespace

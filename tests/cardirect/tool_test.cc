@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "cardirect/constraint_file.h"
+#include "cardirect/xml.h"
 #include "obs/metrics.h"
 
 namespace cardir {
@@ -299,18 +301,62 @@ TEST_F(ToolTest, StatsCountsEdgeWorkOnThePercentCommand) {
 TEST_F(ToolTest, StatsCountsQueryBindingsAndDirectionDecisions) {
   if (!kObsEnabled) GTEST_SKIP() << "counters compiled out";
   // The demo's three regions: a binds 3 candidates, b 3 per a (12
-  // bindings); the 6 distinct pairs each decide the direction atom. A
-  // loaded configuration reads its <Relation> records, so every decision
-  // is counted as computed and none reads a store.
+  // bindings); the 6 distinct pairs each decide the direction atom. The
+  // demo's boxes share no reference line, so the loaded configuration's
+  // class codes decide all 6 pairs through the accept mask.
   const ToolRun run =
       RunTool({"--stats", "query", path_, "(a, b) | a {N, S, E, W} b"});
   ASSERT_EQ(run.exit_code, 0) << run.err;
   const std::string table =
       run.out.substr(run.out.find("=== metrics (this run) ==="));
   EXPECT_EQ(CounterFromTable(table, "query.bindings"), 12u) << table;
-  EXPECT_EQ(CounterFromTable(table, "query.direction.computed"), 6u) << table;
-  EXPECT_EQ(CounterFromTable(table, "query.direction.implicit"), 0u) << table;
+  EXPECT_EQ(CounterFromTable(table, "query.direction.implicit"), 6u) << table;
   EXPECT_EQ(CounterFromTable(table, "query.direction.explicit"), 0u) << table;
+}
+
+// `query` and `related` decide from the geometry; `<Relation>` records are
+// read only by `show` and StoredRelation. The demo has forest NW lake;
+// the edited record says SE.
+TEST_F(ToolTest, QueryAndRelatedIgnoreContradictingRecords) {
+  std::ifstream in(path_);
+  std::string xml((std::istreambuf_iterator<char>(in)),
+                  std::istreambuf_iterator<char>());
+  const std::string record =
+      "<Relation type=\"NW\" primary=\"forest\" reference=\"lake\"/>";
+  const size_t at = xml.find(record);
+  ASSERT_NE(at, std::string::npos) << xml;
+  xml.replace(at, record.size(),
+              "<Relation type=\"SE\" primary=\"forest\" "
+              "reference=\"lake\"/>");
+  const std::string path = ::testing::TempDir() + "/cardirect_contradict.xml";
+  std::ofstream(path) << xml;
+
+  const ToolRun nw =
+      RunTool({"query", path, "(a, b) | a = forest, b = lake, a NW b"});
+  ASSERT_EQ(nw.exit_code, 0) << nw.err;
+  EXPECT_NE(nw.out.find("(forest, lake)\n1 row(s)"), std::string::npos)
+      << nw.out;
+  const ToolRun se =
+      RunTool({"query", path, "(a, b) | a = forest, b = lake, a SE b"});
+  ASSERT_EQ(se.exit_code, 0) << se.err;
+  EXPECT_NE(se.out.find("0 row(s)"), std::string::npos) << se.out;
+
+  const ToolRun related_nw = RunTool({"related", path, "lake", "NW"});
+  ASSERT_EQ(related_nw.exit_code, 0) << related_nw.err;
+  EXPECT_EQ(related_nw.out, "forest\n1 region(s)\n");
+  const ToolRun related_se = RunTool({"related", path, "lake", "SE"});
+  ASSERT_EQ(related_se.exit_code, 0) << related_se.err;
+  EXPECT_EQ(related_se.out.find("forest"), std::string::npos)
+      << related_se.out;
+
+  const ToolRun show = RunTool({"show", path});
+  ASSERT_EQ(show.exit_code, 0) << show.err;
+  EXPECT_NE(show.out.find("forest SE lake"), std::string::npos) << show.out;
+  const Result<Configuration> loaded = LoadConfiguration(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->StoredRelation("forest", "lake"),
+            *CardinalRelation::Parse("SE"));
+  std::remove(path.c_str());
 }
 
 TEST_F(ToolTest, StatsJsonAndPrometheusFormats) {

@@ -63,16 +63,24 @@ ShadowEntry RandomEntry(Rng* rng) {
   return entry;
 }
 
-void BuildFromShadow(IntervalOverlapIndex* index,
-                     const std::vector<ShadowEntry>& shadow) {
+// The shadow as the per-id arrays an index reads its intervals from.
+struct ShadowArrays {
+  explicit ShadowArrays(const std::vector<ShadowEntry>& shadow) {
+    for (const ShadowEntry& entry : shadow) {
+      lo.push_back(entry.lo);
+      hi.push_back(entry.hi);
+      skip.push_back(entry.skip ? 1 : 0);
+    }
+  }
+  AxisIntervals axis() const { return {lo, hi, skip}; }
+
   std::vector<double> lo, hi;
   std::vector<uint8_t> skip;
-  for (const ShadowEntry& entry : shadow) {
-    lo.push_back(entry.lo);
-    hi.push_back(entry.hi);
-    skip.push_back(entry.skip ? 1 : 0);
-  }
-  index->Build(lo, hi, skip);
+};
+
+void BuildFromShadow(IntervalOverlapIndex* index,
+                     const std::vector<ShadowEntry>& shadow) {
+  index->Build(ShadowArrays(shadow).axis());
 }
 
 // Randomized differential property: every mix of Update / Append / Remove,
@@ -95,16 +103,16 @@ TEST(IntervalIndexProperty, MutationsMatchBruteForceOn200RandomScripts) {
       if (kind == 0 || shadow.empty()) {
         const ShadowEntry entry = RandomEntry(&rng);
         shadow.push_back(entry);
-        index.Append(entry.lo, entry.hi, entry.skip);
+        index.Append(ShadowArrays(shadow).axis());
       } else if (kind == 3) {
         const size_t id = rng.NextBelow(shadow.size());
         shadow.erase(shadow.begin() + static_cast<ptrdiff_t>(id));
-        index.Remove(id);
+        index.Remove(id, ShadowArrays(shadow).axis());
       } else {
         const size_t id = rng.NextBelow(shadow.size());
         const ShadowEntry entry = RandomEntry(&rng);
         shadow[id] = entry;
-        index.Update(id, entry.lo, entry.hi, entry.skip);
+        index.Update(id, ShadowArrays(shadow).axis());
       }
       ASSERT_EQ(index.size(), shadow.size());
       ExpectQueriesMatch(index, shadow, &rng, 4);
@@ -134,13 +142,13 @@ TEST(IntervalIndexTest, BlockSummariesStayConservativeAfterTombstones) {
   // queries inside the block must still see the small neighbours.
   for (size_t i = 0; i < 512; i += 64) {
     shadow[i].hi = shadow[i].lo + 0.5;
-    index.Update(i, shadow[i].lo, shadow[i].hi, false);
+    index.Update(i, ShadowArrays(shadow).axis());
   }
   ExpectQueriesMatch(index, shadow, &rng, 64);
 
   // And the reverse: grow a mid-block interval far beyond its block.
   shadow[37].hi = shadow[37].lo + 700.0;
-  index.Update(37, shadow[37].lo, shadow[37].hi, false);
+  index.Update(37, ShadowArrays(shadow).axis());
   ExpectQueriesMatch(index, shadow, &rng, 64);
 }
 
@@ -160,7 +168,7 @@ TEST(IntervalIndexTest, PendingMutationsTriggerRebuild) {
     const size_t id = rng.NextBelow(shadow.size());
     const ShadowEntry entry = RandomEntry(&rng);
     shadow[id] = entry;
-    index.Update(id, entry.lo, entry.hi, entry.skip);
+    index.Update(id, ShadowArrays(shadow).axis());
     max_pending = std::max(max_pending, index.pending());
     // Threshold: dead + overflow never exceeds max(kBlock, size/8) for
     // long — one more mutation past it rebuilds back to zero.
@@ -190,17 +198,17 @@ TEST(IntervalIndexTest, RemoveDefersRebuildAndStaysExact) {
   // sorted entry becomes a tombstone) and a new last id 300 via Append.
   shadow[100] = RandomEntry(&rng);
   shadow[100].skip = false;
-  index.Update(100, shadow[100].lo, shadow[100].hi, false);
+  index.Update(100, ShadowArrays(shadow).axis());
   shadow.push_back(RandomEntry(&rng));
   shadow.back().skip = false;
-  index.Append(shadow.back().lo, shadow.back().hi, false);
+  index.Append(ShadowArrays(shadow).axis());
   ASSERT_EQ(index.pending(), 3u);
 
   // Removes `id` from both; returns the change in pending().
   const auto remove = [&](size_t id) {
     const int64_t before = static_cast<int64_t>(index.pending());
     shadow.erase(shadow.begin() + static_cast<ptrdiff_t>(id));
-    index.Remove(id);
+    index.Remove(id, ShadowArrays(shadow).axis());
     EXPECT_EQ(index.size(), shadow.size());
     ExpectQueriesMatch(index, shadow, &rng, 16);
     return static_cast<int64_t>(index.pending()) - before;

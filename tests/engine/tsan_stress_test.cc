@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cardirect/query.h"
+#include "cardirect/xml.h"
 #include "core/compute_cdr.h"
 #include "core/compute_cdr_percent.h"
 #include "engine/delta_engine.h"
@@ -229,11 +230,14 @@ TEST(TsanStressTest, DeltaEngineConcurrentMovesAndDigestReaders) {
   EXPECT_EQ(engine.Digest(), SerialDigest(final_regions));
 }
 
-// Readers of one computed, delta-patched configuration: the query
-// evaluator and `related` (FindMatching) read the store and its profile
-// through const paths only, so four threads running both at once must see
-// exactly what a serial run sees. A cache slipping into a const read path
-// races here.
+// Readers of one configuration: the query evaluator and `related`
+// (FindMatching) each decide through their own DirectionDecider, which
+// borrows a computed configuration's box profile and polygon boxes through
+// const paths and builds its own from the geometry on an uncomputed or
+// XML-loaded one. Four threads running both at once, over a computed,
+// delta-patched configuration, the same geometry uncomputed and the same
+// geometry loaded from XML, must see exactly what a serial run sees. A
+// cache slipping into a const read path races here.
 TEST(TsanStressTest, ConcurrentReadersOfOneConfiguration) {
   Rng rng(0xC0FFEEu);
   ScenarioOptions options;
@@ -252,6 +256,17 @@ TEST(TsanStressTest, ConcurrentReadersOfOneConfiguration) {
                     .ok());
   }
   ASSERT_TRUE(config.RemoveRegion("region30").ok());
+  Configuration uncomputed;
+  for (const AnnotatedRegion& region : config.regions()) {
+    ASSERT_TRUE(uncomputed.AddRegion(region).ok());
+  }
+  const Result<Configuration> loaded =
+      ConfigurationFromXml(ConfigurationToXml(config));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(uncomputed.relation_store(), nullptr);
+  ASSERT_EQ(loaded->relation_store(), nullptr);
+  const std::vector<const Configuration*> configurations = {
+      &config, &uncomputed, &*loaded};
 
   const std::vector<std::string> anchors = {"region0", "region12",
                                             "region25", "region48"};
@@ -261,13 +276,14 @@ TEST(TsanStressTest, ConcurrentReadersOfOneConfiguration) {
     std::vector<std::vector<QueryRow>> rows;
     std::vector<std::vector<std::string>> related;
   };
-  const auto read = [&](Answers* answers) {
-    const Result<DirectionalIndex> index = DirectionalIndex::Build(config);
+  const auto read = [&](const Configuration& configuration, Answers* answers) {
+    const Result<DirectionalIndex> index =
+        DirectionalIndex::Build(configuration);
     if (!index.ok()) return false;
     for (const std::string& anchor : anchors) {
       const Result<QueryResult> query = EvaluateQuery(
-          config, "(x, y) | y = " + anchor + ", color(x) = red, x " +
-                      directions + " y");
+          configuration, "(x, y) | y = " + anchor + ", color(x) = red, x " +
+                             directions + " y");
       const Result<std::vector<std::string>> found =
           index->FindMatching(anchor, relation);
       if (!query.ok() || !found.ok()) return false;
@@ -275,24 +291,33 @@ TEST(TsanStressTest, ConcurrentReadersOfOneConfiguration) {
       answers->related.push_back(*found);
     }
     const Result<QueryResult> pairwise =
-        EvaluateQuery(config, "(x, y) | x {S, SW, B:S, S:SW} y");
+        EvaluateQuery(configuration, "(x, y) | x {S, SW, B:S, S:SW} y");
     if (!pairwise.ok()) return false;
     answers->rows.push_back(pairwise->rows);
     return true;
   };
   Answers serial;
-  ASSERT_TRUE(read(&serial));
+  ASSERT_TRUE(read(config, &serial));
   ASSERT_FALSE(serial.rows.back().empty());
+  // One geometry, so every configuration answers alike.
+  for (const Configuration* configuration : configurations) {
+    Answers answers;
+    ASSERT_TRUE(read(*configuration, &answers));
+    EXPECT_EQ(answers.rows, serial.rows);
+    EXPECT_EQ(answers.related, serial.related);
+  }
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&read, &serial, &mismatches] {
+    readers.emplace_back([&read, &serial, &mismatches, &configurations] {
       for (int round = 0; round < 3; ++round) {
-        Answers answers;
-        if (!read(&answers) || answers.rows != serial.rows ||
-            answers.related != serial.related) {
-          mismatches.fetch_add(1);
+        for (const Configuration* configuration : configurations) {
+          Answers answers;
+          if (!read(*configuration, &answers) || answers.rows != serial.rows ||
+              answers.related != serial.related) {
+            mismatches.fetch_add(1);
+          }
         }
       }
     });
