@@ -48,7 +48,8 @@ constexpr const char* kUsage =
     "  relations <config.xml> [out.xml] [--threads N]\n"
     "                                       compute all pairwise relations\n"
     "                                       on the batch engine (N=0 uses\n"
-    "                                       all hardware threads)\n"
+    "                                       all hardware threads); prints\n"
+    "                                       them, or saves them to out.xml\n"
     "  percent <config.xml> <primary> <ref> percentage matrix\n"
     "  related <config.xml> <ref-id> <rel>  regions related to <ref-id> by\n"
     "                                       the (disjunctive) relation,\n"
@@ -211,12 +212,16 @@ int CmdRelations(const std::string& path, const std::string& save_path,
   EngineStats stats;
   Status status = config->ComputeAllRelations(options, &stats);
   if (!status.ok()) return Fail(err, status);
-  config->ForEachRelation([&out](const std::string& primary_id,
-                                 const std::string& reference_id,
-                                 const CardinalRelation& relation) {
-    out << primary_id << " " << relation.ToString() << " " << reference_id
-        << "\n";
-  });
+  // With an output file the relations go there, not to the terminal: one
+  // line per ordered pair is n·(n−1) lines.
+  if (save_path.empty()) {
+    config->ForEachRelation([&out](const std::string& primary_id,
+                                   const std::string& reference_id,
+                                   const CardinalRelation& relation) {
+      out << primary_id << " " << relation.ToString() << " " << reference_id
+          << "\n";
+    });
+  }
   if (stats.threads_used > 1) {
     out << StrFormat(
         "computed %zu relations on %d threads (%zu from mbbs alone)\n",

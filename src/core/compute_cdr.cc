@@ -15,14 +15,6 @@ void CdrMetricsDelta::FlushToRegistry() {
 }
 
 CdrComputation ComputeCdrUnchecked(const Region& primary,
-                                   const Region& reference,
-                                   CdrMetricsDelta* metrics,
-                                   CdrScratch* scratch) {
-  return ComputeCdrUnchecked(primary, reference.BoundingBox(), metrics,
-                             scratch);
-}
-
-CdrComputation ComputeCdrUnchecked(const Region& primary,
                                    const Box& reference_mbb,
                                    CdrMetricsDelta* metrics,
                                    CdrScratch* scratch) {
@@ -35,12 +27,10 @@ CdrComputation ComputeCdrUnchecked(const Region& primary,
   const Point center = mbb.Center();
 
   CdrComputation result;
-  // SoA pipeline (core/edge_soa.h): per polygon, one fused pass splits
-  // every edge into the reused lane scratch and classifies each piece
-  // branch-free; the codes-present bitmap (≤9 set bits) then expands
-  // through the 16-entry mask table — replacing the per-piece struct
-  // buffer, the scalar classification cascade, and any second pass over
-  // the pieces.
+  // SoA walk (core/edge_soa.h): per polygon, one pass splits every edge
+  // and classifies each piece branch-free, storing nothing; the
+  // codes-present bitmap (≤9 set bits) then expands through the 16-entry
+  // mask table — no per-piece struct, scalar cascade or second pass.
   const std::array<uint16_t, kNumSubEdgeCodes>& code_masks = SubEdgeCodeMasks();
   uint16_t mask = 0;
   constexpr uint16_t kMaskB = 1u << static_cast<int>(Tile::kB);
@@ -97,7 +87,8 @@ CdrComputation ComputeCdrUnchecked(const Region& primary,
   // of a small polygon. Callers without their own scratch share one
   // grow-only buffer per thread instead.
   thread_local CdrScratch scratch;
-  return ComputeCdrUnchecked(primary, reference, metrics, &scratch);
+  return ComputeCdrUnchecked(primary, reference.BoundingBox(), metrics,
+                             &scratch);
 }
 
 CdrComputation ComputeCdrUnchecked(const Region& primary,

@@ -59,11 +59,12 @@ struct CdrMetricsDelta {
 };
 
 /// Reusable working memory for Compute-CDR and Compute-CDR%. A fresh run's
-/// only heap allocation is the SoA sub-edge scratch the edge splitter
-/// appends into (core/edge_soa.h); a caller computing many pairs (the sweep
-/// join's emit strips and the delta engine via their per-worker scratch,
-/// the benchmark loops) keeps one CdrScratch per thread and hands it to
-/// every call, so the lane capacity is paid once instead of per pair.
+/// only heap allocation is the SoA lane scratch (core/edge_soa.h), which
+/// Compute-CDR% appends every piece to and Compute-CDR only its
+/// tie/straddle fallback; a caller computing many pairs (the sweep join's
+/// emit strips and the delta engine via their per-worker scratch, the
+/// benchmark loops) keeps one CdrScratch per thread and hands it to every
+/// call, so the lane capacity is paid once instead of per pair.
 struct CdrScratch {
   EdgeSoA soa;
 };
@@ -71,25 +72,24 @@ struct CdrScratch {
 /// Unchecked fast path used by benchmarks: skips validation. Preconditions:
 /// both regions valid, clockwise, reference mbb non-empty.
 ///
-/// The two-argument form flushes its core.* counter deltas per call; the
+/// Every form runs the same store-free walk per polygon of `primary`
+/// (`SplitClassifyBitmapSoA`, core/edge_soa.h): the relation is the OR of
+/// the tiles in its codes-present bitmap, plus Fig. 5's B test. The
+/// two-argument form flushes its core.* counter deltas per call; the
 /// three-argument form accumulates them into `metrics` (never null) for the
-/// caller to flush; the four-argument form additionally reuses `scratch`
-/// (never null) instead of the thread-local scratch the other forms share.
+/// caller to flush, with a thread-local scratch.
 CdrComputation ComputeCdrUnchecked(const Region& primary,
                                    const Region& reference);
 CdrComputation ComputeCdrUnchecked(const Region& primary,
                                    const Region& reference,
                                    CdrMetricsDelta* metrics);
-CdrComputation ComputeCdrUnchecked(const Region& primary,
-                                   const Region& reference,
-                                   CdrMetricsDelta* metrics,
-                                   CdrScratch* scratch);
 
-/// Like the four-argument form, but takes the reference's bounding box
-/// directly — the algorithm never looks at the reference's geometry beyond
-/// its mbb, and a caller computing many pairs against profiled boxes (the
-/// sweep join) already holds every mbb, so re-deriving it from the
-/// polygon vertices on each call would be the dominant per-pair overhead.
+/// Like the three-argument form, but takes the reference's bounding box
+/// directly and reuses `scratch` (never null) — the algorithm never looks
+/// at the reference's geometry beyond its mbb, and a caller computing many
+/// pairs against profiled boxes (the sweep join, the delta engine) already
+/// holds every mbb, so re-deriving it from the polygon vertices on each
+/// call would be the dominant per-pair overhead.
 CdrComputation ComputeCdrUnchecked(const Region& primary,
                                    const Box& reference_mbb,
                                    CdrMetricsDelta* metrics,

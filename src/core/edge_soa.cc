@@ -7,7 +7,6 @@
 #include "geometry/segment.h"
 #include "obs/memstats.h"
 #include "util/logging.h"
-#include "util/target_clones.h"
 
 namespace cardir {
 namespace {
@@ -25,33 +24,18 @@ constexpr std::array<uint16_t, kNumSubEdgeCodes> BuildSubEdgeCodeMasks() {
   return masks;
 }
 
-constexpr std::array<Tile, kNumSubEdgeCodes> BuildSubEdgeCodeTiles() {
-  std::array<Tile, kNumSubEdgeCodes> tiles{};
-  tiles.fill(Tile::kB);
-  for (int c = 0; c < 3; ++c) {
-    for (int r = 0; r < 3; ++r) {
-      tiles[SubEdgeCode(static_cast<TileColumn>(c), static_cast<TileRow>(r))] =
-          TileAt(static_cast<TileColumn>(c), static_cast<TileRow>(r));
-    }
-  }
-  return tiles;
-}
-
 constexpr std::array<uint16_t, kNumSubEdgeCodes> kSubEdgeCodeMasks =
     BuildSubEdgeCodeMasks();
-constexpr std::array<Tile, kNumSubEdgeCodes> kSubEdgeCodeTiles =
-    BuildSubEdgeCodeTiles();
 
 // Compile-time proof over all 16 sub-edge codes, both orientations:
 // forward, every reachable (column << 2) | row code carries exactly the
-// single-tile mask and the tile of TileAt(column, row), and the six
-// unreachable code values carry mask 0 / the kB placeholder; backward,
-// every tile's own column/row — the pair the scalar classifier produces —
-// packs to a code whose table entries recover that tile. A divergence
-// between these tables and core/tile.h's grid is a build break, not a
-// startup abort (ctest's differential tests remain as the runtime
-// cross-check of the *classifiers* that produce the codes).
-constexpr bool SubEdgeTablesAgreeWithTileAt() {
+// single-tile mask of TileAt(column, row), and the six unreachable code
+// values carry mask 0; backward, every tile's own column/row — the pair
+// the scalar classifier produces — packs to a code whose mask is that
+// tile's bit. A divergence between this table and core/tile.h's grid is a
+// build break, not a startup abort (ctest's differential tests remain as
+// the runtime cross-check of the *classifiers* that produce the codes).
+constexpr bool SubEdgeMasksAgreeWithTileAt() {
   bool reachable[kNumSubEdgeCodes] = {};
   for (int c = 0; c < 3; ++c) {
     for (int r = 0; r < 3; ++r) {
@@ -64,17 +48,13 @@ constexpr bool SubEdgeTablesAgreeWithTileAt() {
           static_cast<uint16_t>(1u << static_cast<int>(tile))) {
         return false;
       }
-      if (kSubEdgeCodeTiles[code] != tile) return false;
     }
   }
   for (int code = 0; code < kNumSubEdgeCodes; ++code) {
-    if (reachable[code]) continue;
-    if (kSubEdgeCodeMasks[code] != 0) return false;
-    if (kSubEdgeCodeTiles[code] != Tile::kB) return false;
+    if (!reachable[code] && kSubEdgeCodeMasks[code] != 0) return false;
   }
   for (Tile tile : kAllTiles) {
     const uint8_t code = SubEdgeCode(ColumnOf(tile), RowOf(tile));
-    if (kSubEdgeCodeTiles[code] != tile) return false;
     if (kSubEdgeCodeMasks[code] !=
         static_cast<uint16_t>(1u << static_cast<int>(tile))) {
       return false;
@@ -82,8 +62,8 @@ constexpr bool SubEdgeTablesAgreeWithTileAt() {
   }
   return true;
 }
-static_assert(SubEdgeTablesAgreeWithTileAt(),
-              "core/edge_soa: sub-edge code tables disagree with "
+static_assert(SubEdgeMasksAgreeWithTileAt(),
+              "core/edge_soa: sub-edge code masks disagree with "
               "core/tile.h's TileAt");
 
 // Branch-free classification of one lane along one axis. Returns the axis
@@ -99,8 +79,8 @@ static_assert(SubEdgeTablesAgreeWithTileAt(),
 //
 // Both are measure-zero for random workloads and the second is outright
 // unreachable for splitter output (split points are snapped exactly onto
-// the lines), so the kernel keeps the hot lane to three compares and a
-// handful of integer ops and the caller re-classifies the whole batch
+// the lines), so the walk keeps the hot lane to three compares and a
+// handful of integer ops and its caller re-classifies the polygon's pieces
 // through the exact scalar cascade when *odd comes back non-zero. That
 // trades a rare O(n) scalar pass for dropping the tie-break arithmetic —
 // and the cross-axis direction loads it needs — from every hot lane.
@@ -116,10 +96,10 @@ inline unsigned ClassifyAxisLane(double lo, double hi, double m1, double m2,
 }
 
 // Exact scalar re-classification of lanes [begin, soa->count): the
-// fallback for batches containing a lane exactly ON a band line (tie,
-// broken towards the polygon's interior side by the ring direction) or
-// hitting the defensive residual-straddle case. Returns the codes-present
-// bitmap of the range.
+// fallback for a polygon with a lane exactly ON a band line (tie, broken
+// towards the polygon's interior side by the ring direction) or hitting
+// the defensive residual-straddle case. Returns the codes-present bitmap
+// of the range.
 uint16_t ReclassifyScalarRange(EdgeSoA* soa, const Box& mbb, size_t begin) {
   uint16_t bitmap = 0;
   for (size_t i = begin; i < soa->count; ++i) {
@@ -133,37 +113,99 @@ uint16_t ReclassifyScalarRange(EdgeSoA* soa, const Box& mbb, size_t begin) {
   return bitmap;
 }
 
-// Fused column+row pass. Writes each lane's code byte exactly once,
-// accumulates the OR of `1 << code` across lanes (the "codes present"
-// bitmap the qualitative path folds into a relation mask without a second
-// pass over the lanes), and returns it with the fallback flag in bit 16.
-// Per-pair batches are small (~a dozen lanes for a 10-gon), so one pass
-// over four double arrays with a single byte store per lane matters as
-// much as the vector width.
-CARDIR_KERNEL_CLONES
-uint32_t ClassifySubEdgesSoAImpl(const double* x0, const double* y0,
-                                 const double* x1, const double* y1, size_t n,
-                                 const Box& mbb, uint8_t* codes) {
+// What one walk over a polygon's edges found. `odd` is non-zero when a
+// piece tied or straddled, so `bitmap` (and the appended codes) need the
+// exact scalar pass.
+struct Walk {
+  size_t pieces;
+  unsigned bitmap;
+  unsigned odd;
+};
+
+// The one split-and-classify walk (paper §3.1): splits each edge of
+// `polygon` at the `mbb` lines with the shared split core and classifies
+// every piece with ClassifyAxisLane on both axes. A non-straddling edge —
+// the majority even inside a crossing pair — is one piece, classified
+// inline (the compiler shares its min/max with the straddle test); only a
+// straddling edge calls out, to SplitStraddlingEdge. With kAppend the
+// pieces' endpoints and codes are appended to `soa`'s lanes; without it
+// `soa` is not touched (callers pass null) and only the count and the
+// bitmap come back.
+template <bool kAppend>
+Walk SplitClassify(const Polygon& polygon, const Box& mbb, EdgeSoA* soa) {
+  const size_t n = polygon.size();
+  double* x0 = nullptr;
+  double* y0 = nullptr;
+  double* x1 = nullptr;
+  double* y1 = nullptr;
+  uint8_t* codes = nullptr;
+  size_t begin = 0;
+  if constexpr (kAppend) {
+    // At most 5 pieces per edge (4 crossing points), so one grow covers
+    // the whole polygon and the walk writes through raw pointers.
+    soa->EnsureCapacity(soa->count + 5 * n);
+    x0 = soa->x0.data();
+    y0 = soa->y0.data();
+    x1 = soa->x1.data();
+    y1 = soa->y1.data();
+    codes = soa->code.data();
+    begin = soa->count;
+  }
   const double m1 = mbb.min_x();
   const double m2 = mbb.max_x();
   const double l1 = mbb.min_y();
   const double l2 = mbb.max_y();
-  unsigned odd = 0;
+
+  size_t k = begin;
   unsigned bitmap = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const double xa = x0[i];
-    const double xb = x1[i];
-    const double ya = y0[i];
-    const double yb = y1[i];
-    const unsigned col =
-        ClassifyAxisLane(std::min(xa, xb), std::max(xa, xb), m1, m2, &odd);
-    const unsigned row =
-        ClassifyAxisLane(std::min(ya, yb), std::max(ya, yb), l1, l2, &odd);
+  unsigned odd = 0;
+  const auto piece = [&](const Point& a, const Point& b) {
+    const unsigned col = ClassifyAxisLane(std::min(a.x, b.x),
+                                          std::max(a.x, b.x), m1, m2, &odd);
+    const unsigned row = ClassifyAxisLane(std::min(a.y, b.y),
+                                          std::max(a.y, b.y), l1, l2, &odd);
     const unsigned code = (col << 2) | row;
-    codes[i] = static_cast<uint8_t>(code);
     bitmap |= 1u << code;
-  }
-  return bitmap | (odd != 0 ? 1u << 16 : 0u);
+    if constexpr (kAppend) {
+      x0[k] = a.x;
+      y0[k] = a.y;
+      x1[k] = b.x;
+      y1[k] = b.y;
+      codes[k] = static_cast<uint8_t>(code);
+    }
+    ++k;
+  };
+  const auto edge = [&](const Point& a, const Point& b) {
+    if (a == b) return;  // Degenerate edge: no pieces (shared-core rule).
+    const double xlo = std::min(a.x, b.x);
+    const double xhi = std::max(a.x, b.x);
+    const double ylo = std::min(a.y, b.y);
+    const double yhi = std::max(a.y, b.y);
+    const unsigned straddle_w = static_cast<unsigned>(xlo < m1) &
+                                static_cast<unsigned>(m1 < xhi);
+    const unsigned straddle_e = static_cast<unsigned>(xlo < m2) &
+                                static_cast<unsigned>(m2 < xhi);
+    const unsigned straddle_s = static_cast<unsigned>(ylo < l1) &
+                                static_cast<unsigned>(l1 < yhi);
+    const unsigned straddle_n = static_cast<unsigned>(ylo < l2) &
+                                static_cast<unsigned>(l2 < yhi);
+    if ((straddle_w | straddle_e | straddle_s | straddle_n) == 0) {
+      piece(a, b);
+      return;
+    }
+    edge_split_detail::SplitStraddlingEdge(Segment(a, b), mbb, straddle_w,
+                                           straddle_e, straddle_s, straddle_n,
+                                           piece);
+  };
+  // Walk the ring directly (vertex i → i+1, closing edge last) instead of
+  // Polygon::edge(i), whose wrap-around `% size()` costs an integer divide
+  // per edge — measurable at ~14 lanes per crossing pair.
+  const Point* v = polygon.vertices().data();
+  for (size_t i = 0; i + 1 < n; ++i) edge(v[i], v[i + 1]);
+  if (n >= 2) edge(v[n - 1], v[0]);
+
+  if constexpr (kAppend) soa->count = k;
+  return Walk{k - begin, bitmap, odd};
 }
 
 }  // namespace
@@ -189,144 +231,16 @@ const std::array<uint16_t, kNumSubEdgeCodes>& SubEdgeCodeMasks() {
   return kSubEdgeCodeMasks;
 }
 
-const std::array<Tile, kNumSubEdgeCodes>& SubEdgeCodeTiles() {
-  return kSubEdgeCodeTiles;
-}
-
-size_t AppendSplitEdgesSoA(const Polygon& polygon, const Box& mbb,
-                           EdgeSoA* soa) {
-  CARDIR_DCHECK(soa != nullptr);
-  const size_t n = polygon.size();
-  // At most 5 pieces per edge (4 crossing points), so one grow covers the
-  // whole polygon and the emit lambda writes through raw pointers.
-  soa->EnsureCapacity(soa->count + 5 * n);
-  double* x0 = soa->x0.data();
-  double* y0 = soa->y0.data();
-  double* x1 = soa->x1.data();
-  double* y1 = soa->y1.data();
-  size_t k = soa->count;
-  // Walk the ring directly (vertex i → i+1, closing edge last) instead of
-  // Polygon::edge(i), whose wrap-around `% size()` costs an integer divide
-  // per edge — measurable at ~14 lanes per crossing pair.
-  const Point* v = polygon.vertices().data();
-  const auto emit = [&](const Point& pa, const Point& pb) {
-    x0[k] = pa.x;
-    y0[k] = pa.y;
-    x1[k] = pb.x;
-    y1[k] = pb.y;
-    ++k;
-  };
-  for (size_t i = 0; i + 1 < n; ++i) {
-    edge_split_detail::ForEachSplitPiece(Segment(v[i], v[i + 1]), mbb, emit);
-  }
-  if (n >= 2) {
-    edge_split_detail::ForEachSplitPiece(Segment(v[n - 1], v[0]), mbb, emit);
-  }
-  const size_t appended = k - soa->count;
-  soa->count = k;
-  return appended;
-}
-
-uint16_t ClassifySubEdgesSoA(EdgeSoA* soa, const Box& mbb) {
-  CARDIR_DCHECK(soa != nullptr);
-  CARDIR_DCHECK(!mbb.IsEmpty());
-  const size_t n = soa->count;
-  if (n == 0) return 0;
-  const uint32_t result =
-      ClassifySubEdgesSoAImpl(soa->x0.data(), soa->y0.data(), soa->x1.data(),
-                              soa->y1.data(), n, mbb, soa->code.data());
-  if ((result & (1u << 16)) == 0) return static_cast<uint16_t>(result);
-  // A lane lies exactly on a band line (tie, broken towards the polygon's
-  // interior side) or hit the defensive residual-straddle case: the batch
-  // kernel's no-tie classes are unreliable for such lanes, so re-classify
-  // the whole batch through the exact scalar cascade. Rare by construction
-  // (requires geometry exactly on the reference mbb lines or a degenerate
-  // reference band), so the qualitative and percent paths stay hot-loop
-  // simple while degenerate corpora keep bit-exact scalar semantics.
-  return ReclassifyScalarRange(soa, mbb, 0);
-}
-
 SplitClassifyResult AppendSplitClassifySoA(const Polygon& polygon,
                                            const Box& mbb, EdgeSoA* soa) {
   CARDIR_DCHECK(soa != nullptr);
   CARDIR_DCHECK(!mbb.IsEmpty());
-  const size_t n = polygon.size();
-  soa->EnsureCapacity(soa->count + 5 * n);
-  double* x0 = soa->x0.data();
-  double* y0 = soa->y0.data();
-  double* x1 = soa->x1.data();
-  double* y1 = soa->y1.data();
-  uint8_t* codes = soa->code.data();
   const size_t begin = soa->count;
-  const double m1 = mbb.min_x();
-  const double m2 = mbb.max_x();
-  const double l1 = mbb.min_y();
-  const double l2 = mbb.max_y();
-
-  size_t k = begin;
-  unsigned bitmap = 0;
-  unsigned odd = 0;
-  // Emitter for pieces of a straddling edge: store the lane, classify it
-  // from its own extent (pieces are short, their min/max is fresh work
-  // either way), fold its code bit.
-  const auto classify_emit = [&](const Point& pa, const Point& pb) {
-    x0[k] = pa.x;
-    y0[k] = pa.y;
-    x1[k] = pb.x;
-    y1[k] = pb.y;
-    const unsigned col = ClassifyAxisLane(std::min(pa.x, pb.x),
-                                          std::max(pa.x, pb.x), m1, m2, &odd);
-    const unsigned row = ClassifyAxisLane(std::min(pa.y, pb.y),
-                                          std::max(pa.y, pb.y), l1, l2, &odd);
-    const unsigned code = (col << 2) | row;
-    codes[k] = static_cast<uint8_t>(code);
-    bitmap |= 1u << code;
-    ++k;
-  };
-  const auto do_edge = [&](const Point& a, const Point& b) {
-    if (a == b) return;  // Degenerate edge: no pieces (shared-core rule).
-    const double xlo = std::min(a.x, b.x);
-    const double xhi = std::max(a.x, b.x);
-    const double ylo = std::min(a.y, b.y);
-    const double yhi = std::max(a.y, b.y);
-    const unsigned straddle_w = static_cast<unsigned>(xlo < m1) &
-                                static_cast<unsigned>(m1 < xhi);
-    const unsigned straddle_e = static_cast<unsigned>(xlo < m2) &
-                                static_cast<unsigned>(m2 < xhi);
-    const unsigned straddle_s = static_cast<unsigned>(ylo < l1) &
-                                static_cast<unsigned>(l1 < yhi);
-    const unsigned straddle_n = static_cast<unsigned>(ylo < l2) &
-                                static_cast<unsigned>(l2 < yhi);
-    if ((straddle_w | straddle_e | straddle_s | straddle_n) == 0) {
-      // Non-crossing edge: one lane, classified straight from the extents
-      // the straddle test just computed.
-      x0[k] = a.x;
-      y0[k] = a.y;
-      x1[k] = b.x;
-      y1[k] = b.y;
-      const unsigned col = ClassifyAxisLane(xlo, xhi, m1, m2, &odd);
-      const unsigned row = ClassifyAxisLane(ylo, yhi, l1, l2, &odd);
-      const unsigned code = (col << 2) | row;
-      codes[k] = static_cast<uint8_t>(code);
-      bitmap |= 1u << code;
-      ++k;
-      return;
-    }
-    edge_split_detail::SplitStraddlingEdge(Segment(a, b), mbb, straddle_w,
-                                           straddle_e, straddle_s, straddle_n,
-                                           classify_emit);
-  };
-  // Walk the ring directly (vertex i → i+1, closing edge last); see
-  // AppendSplitEdgesSoA for why not Polygon::edge(i).
-  const Point* v = polygon.vertices().data();
-  for (size_t i = 0; i + 1 < n; ++i) do_edge(v[i], v[i + 1]);
-  if (n >= 2) do_edge(v[n - 1], v[0]);
-
-  soa->count = k;
+  const Walk walk = SplitClassify<true>(polygon, mbb, soa);
   SplitClassifyResult result;
-  result.pieces = k - begin;
-  result.code_bitmap = odd == 0 ? static_cast<uint16_t>(bitmap)
-                                : ReclassifyScalarRange(soa, mbb, begin);
+  result.pieces = walk.pieces;
+  result.code_bitmap = walk.odd == 0 ? static_cast<uint16_t>(walk.bitmap)
+                                     : ReclassifyScalarRange(soa, mbb, begin);
   return result;
 }
 
@@ -335,60 +249,15 @@ SplitClassifyResult SplitClassifyBitmapSoA(const Polygon& polygon,
                                            EdgeSoA* fallback_scratch) {
   CARDIR_DCHECK(fallback_scratch != nullptr);
   CARDIR_DCHECK(!mbb.IsEmpty());
-  const size_t n = polygon.size();
-  const double m1 = mbb.min_x();
-  const double m2 = mbb.max_x();
-  const double l1 = mbb.min_y();
-  const double l2 = mbb.max_y();
-
-  size_t pieces = 0;
-  unsigned bitmap = 0;
-  unsigned odd = 0;
-  const auto classify_piece = [&](const Point& pa, const Point& pb) {
-    const unsigned col = ClassifyAxisLane(std::min(pa.x, pb.x),
-                                          std::max(pa.x, pb.x), m1, m2, &odd);
-    const unsigned row = ClassifyAxisLane(std::min(pa.y, pb.y),
-                                          std::max(pa.y, pb.y), l1, l2, &odd);
-    bitmap |= 1u << ((col << 2) | row);
-    ++pieces;
-  };
-  const auto do_edge = [&](const Point& a, const Point& b) {
-    if (a == b) return;  // Degenerate edge: no pieces (shared-core rule).
-    const double xlo = std::min(a.x, b.x);
-    const double xhi = std::max(a.x, b.x);
-    const double ylo = std::min(a.y, b.y);
-    const double yhi = std::max(a.y, b.y);
-    const unsigned straddle_w = static_cast<unsigned>(xlo < m1) &
-                                static_cast<unsigned>(m1 < xhi);
-    const unsigned straddle_e = static_cast<unsigned>(xlo < m2) &
-                                static_cast<unsigned>(m2 < xhi);
-    const unsigned straddle_s = static_cast<unsigned>(ylo < l1) &
-                                static_cast<unsigned>(l1 < yhi);
-    const unsigned straddle_n = static_cast<unsigned>(ylo < l2) &
-                                static_cast<unsigned>(l2 < yhi);
-    if ((straddle_w | straddle_e | straddle_s | straddle_n) == 0) {
-      const unsigned col = ClassifyAxisLane(xlo, xhi, m1, m2, &odd);
-      const unsigned row = ClassifyAxisLane(ylo, yhi, l1, l2, &odd);
-      bitmap |= 1u << ((col << 2) | row);
-      ++pieces;
-      return;
-    }
-    edge_split_detail::SplitStraddlingEdge(Segment(a, b), mbb, straddle_w,
-                                           straddle_e, straddle_s, straddle_n,
-                                           classify_piece);
-  };
-  const Point* v = polygon.vertices().data();
-  for (size_t i = 0; i + 1 < n; ++i) do_edge(v[i], v[i + 1]);
-  if (n >= 2) do_edge(v[n - 1], v[0]);
-
-  SplitClassifyResult result;
-  result.pieces = pieces;
-  if (odd == 0) {
-    result.code_bitmap = static_cast<uint16_t>(bitmap);
+  const Walk walk = SplitClassify<false>(polygon, mbb, nullptr);
+  if (walk.odd == 0) {
+    SplitClassifyResult result;
+    result.pieces = walk.pieces;
+    result.code_bitmap = static_cast<uint16_t>(walk.bitmap);
     return result;
   }
-  // Tie/straddle fallback: materialise the pieces after all and reuse the
-  // appending variant, whose own fallback is the exact scalar cascade.
+  // Tie/straddle fallback: materialise the pieces after all; the appending
+  // walk re-classifies them through the exact scalar cascade.
   fallback_scratch->Clear();
   return AppendSplitClassifySoA(polygon, mbb, fallback_scratch);
 }

@@ -3,13 +3,14 @@
 // edge with the four mbb lines, snaps the split points exactly onto the
 // lines they cross, and hands every non-degenerate piece to an emitter.
 //
-// Two instantiations exist: the classic AoS API of core/edge_splitter.h
-// (one `ClassifiedEdge` per piece, classified immediately) and the SoA
-// emitter of core/edge_soa.h (endpoint lanes appended contiguously,
-// classified later in a batched branch-free pass). Keeping the crossing /
-// sorting / snapping logic in one template is what guarantees the two
-// pipelines emit bit-identical piece sets — the SoA differential tests
-// (tests/core/edge_soa_test.cc) then only have to pin the classification.
+// Two users exist: the classic AoS API of core/edge_splitter.h (one
+// `ClassifiedEdge` per piece, through ForEachSplitPiece) and the SoA walk
+// of core/edge_soa.h, which runs its own straddle test inline and calls
+// SplitStraddlingEdge only for an edge that crosses a line. Keeping the
+// crossing / sorting / snapping logic in one template is what guarantees
+// the two pipelines emit bit-identical piece sets — the SoA differential
+// tests (tests/core/edge_soa_test.cc) then only have to pin the
+// classification.
 
 #ifndef CARDIR_CORE_EDGE_SPLIT_DETAIL_H_
 #define CARDIR_CORE_EDGE_SPLIT_DETAIL_H_

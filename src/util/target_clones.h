@@ -1,11 +1,11 @@
-// Runtime ISA dispatch for batched kernels (shared by core's sub-edge
-// classification in core/edge_soa.cc and the CDR% trapezoid accumulation in
+// Runtime ISA dispatch for batched kernels. Its only user is the
+// Compute-CDR% trapezoid accumulation (`AccumulateTrapezoidsSoA` in
 // core/compute_cdr_percent.cc).
 //
-// The hot kernels are pure streaming arithmetic that vectorizes ~8x wider
-// under AVX2, but the library targets the baseline x86-64 ABI; function
+// Such a kernel is pure streaming arithmetic that vectorizes wider under
+// AVX2, but the library targets the baseline x86-64 ABI; function
 // multi-versioning compiles each annotated entry point once per listed ISA
-// and the loader picks via the GNU ifunc mechanism, so the kernels reach
+// and the loader picks via the GNU ifunc mechanism, so the kernel reaches
 // vector speed without -march flags leaking into the build. Disabled under
 // the sanitizers (ifunc resolvers run before their runtimes initialise —
 // ASan intercepts the resolver's memory before shadow setup) and on

@@ -73,7 +73,22 @@ TEST_F(ToolTest, RelationsCanSaveBack) {
   const std::string out_path = ::testing::TempDir() + "/cardirect_saved.xml";
   const ToolRun run = RunTool({"relations", path_, out_path});
   EXPECT_EQ(run.exit_code, 0) << run.err;
-  EXPECT_EQ(RunTool({"show", out_path}).exit_code, 0);
+  // Saved relations are not printed as well: on one thread the output is
+  // only the confirmation.
+  EXPECT_EQ(run.out, "saved: " + out_path + "\n");
+  // The file holds every relation the printing form lists.
+  const ToolRun show = RunTool({"show", out_path});
+  EXPECT_EQ(show.exit_code, 0) << show.err;
+  const ToolRun printed = RunTool({"relations", path_});
+  ASSERT_EQ(printed.exit_code, 0) << printed.err;
+  std::istringstream lines(printed.out);
+  int relations = 0;
+  for (std::string line; std::getline(lines, line); ++relations) {
+    EXPECT_NE(show.out.find("  " + line + "\n"), std::string::npos)
+        << line << " missing from:\n"
+        << show.out;
+  }
+  EXPECT_EQ(relations, 6);
   std::remove(out_path.c_str());
 }
 

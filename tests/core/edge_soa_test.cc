@@ -1,8 +1,10 @@
-// Differential tests pinning the SoA sub-edge pipeline (core/edge_soa.h)
-// to the AoS reference (core/edge_splitter.h): identical piece sets,
-// identical classification (including on-line ties and degenerate bands,
-// which exercise the scalar fallback), and a faithful codes-present
-// bitmap. Also pins the sanitizer contract of util/target_clones.h.
+// Differential tests pinning the SoA split-and-classify walk
+// (core/edge_soa.h) to the AoS reference (core/edge_splitter.h), through
+// both entry points: the appending walk must produce identical pieces and
+// codes lane by lane, and the store-free walk the same piece count and
+// codes-present bitmap — including on-line ties and degenerate bands,
+// which exercise the scalar fallback. Also pins the sanitizer contract of
+// util/target_clones.h.
 
 #include "core/edge_soa.h"
 
@@ -47,10 +49,10 @@ void ExpectSoAMatchesAos(const Polygon& polygon, const Box& mbb) {
   const std::vector<ClassifiedEdge> aos = AosPieces(polygon, mbb);
 
   EdgeSoA soa;
-  const size_t appended = AppendSplitEdgesSoA(polygon, mbb, &soa);
-  ASSERT_EQ(appended, aos.size());
+  const SplitClassifyResult appended =
+      AppendSplitClassifySoA(polygon, mbb, &soa);
+  ASSERT_EQ(appended.pieces, aos.size());
   ASSERT_EQ(soa.count, aos.size());
-  const uint16_t bitmap = ClassifySubEdgesSoA(&soa, mbb);
 
   uint16_t expected_bitmap = 0;
   for (size_t i = 0; i < aos.size(); ++i) {
@@ -59,27 +61,24 @@ void ExpectSoAMatchesAos(const Polygon& polygon, const Box& mbb) {
     EXPECT_EQ(soa.y0[i], aos[i].segment.a.y) << "lane " << i;
     EXPECT_EQ(soa.x1[i], aos[i].segment.b.x) << "lane " << i;
     EXPECT_EQ(soa.y1[i], aos[i].segment.b.y) << "lane " << i;
-    // Identical classification through the code → tile table.
-    EXPECT_EQ(SubEdgeCodeTiles()[soa.code[i]], aos[i].tile)
+    // Identical classification: the code of the AoS piece's tile.
+    const uint8_t expected_code =
+        SubEdgeCode(ColumnOf(aos[i].tile), RowOf(aos[i].tile));
+    EXPECT_EQ(soa.code[i], expected_code)
         << "lane " << i << " of " << aos.size();
     expected_bitmap =
-        static_cast<uint16_t>(expected_bitmap | (1u << soa.code[i]));
+        static_cast<uint16_t>(expected_bitmap | (1u << expected_code));
   }
-  EXPECT_EQ(bitmap, expected_bitmap);
+  EXPECT_EQ(appended.code_bitmap, expected_bitmap);
 
-  // The fused single-pass entry agrees with the staged pipeline.
-  EdgeSoA fused;
-  const SplitClassifyResult result =
-      AppendSplitClassifySoA(polygon, mbb, &fused);
-  ASSERT_EQ(result.pieces, aos.size());
-  EXPECT_EQ(result.code_bitmap, expected_bitmap);
-  for (size_t i = 0; i < aos.size(); ++i) {
-    EXPECT_EQ(fused.x0[i], soa.x0[i]);
-    EXPECT_EQ(fused.y0[i], soa.y0[i]);
-    EXPECT_EQ(fused.x1[i], soa.x1[i]);
-    EXPECT_EQ(fused.y1[i], soa.y1[i]);
-    EXPECT_EQ(fused.code[i], soa.code[i]) << "lane " << i;
-  }
+  // The store-free walk: same piece count and bitmap, with a fallback
+  // scratch that already holds live lanes.
+  EdgeSoA fallback;
+  AppendSplitClassifySoA(polygon, mbb, &fallback);
+  const SplitClassifyResult bitmap_only =
+      SplitClassifyBitmapSoA(polygon, mbb, &fallback);
+  EXPECT_EQ(bitmap_only.pieces, aos.size());
+  EXPECT_EQ(bitmap_only.code_bitmap, expected_bitmap);
 }
 
 TEST(EdgeSoATest, MatchesAosPipelineOnRandomPolygons) {
@@ -148,7 +147,6 @@ TEST(EdgeSoATest, SubEdgeCodeTablesMatchTileEnum) {
           TileAt(static_cast<TileColumn>(c), static_cast<TileRow>(r));
       const uint8_t code =
           SubEdgeCode(static_cast<TileColumn>(c), static_cast<TileRow>(r));
-      EXPECT_EQ(SubEdgeCodeTiles()[code], tile);
       EXPECT_EQ(SubEdgeCodeMasks()[code], 1u << static_cast<int>(tile));
     }
   }
