@@ -78,15 +78,26 @@ class Configuration {
   /// byte-identical whichever representation backs the configuration.
   template <typename Fn>
   void ForEachRelation(Fn&& fn) const {
+    ForEachRelationAt(
+        [this, &fn](size_t i, size_t j, const CardinalRelation& relation) {
+          fn(regions_[i].id, regions_[j].id, relation);
+        });
+  }
+
+  /// ForEachRelation with the two regions' positions in regions() in place
+  /// of their ids: `fn(primary, reference, relation)`. An XML-loaded
+  /// record's two ids resolve through the id index, O(1) expected each;
+  /// both always name a region (SetRelations admits no other record, and
+  /// the edits drop the records of the regions they change).
+  template <typename Fn>
+  void ForEachRelationAt(Fn&& fn) const {
     const RelationStore* store = relation_store();
     if (store != nullptr) {
-      store->ForEach(
-          [this, &fn](size_t i, size_t j, const CardinalRelation& relation) {
-            fn(regions_[i].id, regions_[j].id, relation);
-          });
+      store->ForEach(fn);
     } else {
       for (const RelationRecord& record : relations_) {
-        fn(record.primary_id, record.reference_id, record.relation);
+        fn(PositionOf(record.primary_id), PositionOf(record.reference_id),
+           record.relation);
       }
     }
   }

@@ -21,7 +21,11 @@
 // tokenizer — elements, attributes, comments, declarations, DOCTYPE, the
 // five predefined entities and numeric character references — that binds
 // each element into the Configuration, and the writer (xml_writer.cc)
-// appends each element to one output string.
+// appends each element to one output string. A document states up to
+// n·(n−1) relations, so the writer formats a <Relation>'s parts once per
+// document — a type text per mask, a primary and a reference text per
+// region — and sizes the string exactly with a first pass over the
+// relations; each relation is then three appends.
 
 #ifndef CARDIR_CARDIRECT_XML_H_
 #define CARDIR_CARDIRECT_XML_H_

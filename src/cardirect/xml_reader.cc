@@ -9,8 +9,9 @@
 #include <array>
 #include <cctype>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -363,9 +364,21 @@ Result<Configuration> ConfigurationFromXml(std::string_view xml) {
 Result<Configuration> LoadConfiguration(const std::string& path) {
   std::ifstream file(path);
   if (!file) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string text = buffer.str();
+  // One buffer, sized from the file when it is a regular file. A path of
+  // unknown size (a pipe) or a file that grew is read on to its end.
+  std::error_code size_error;
+  const uintmax_t size = std::filesystem::file_size(path, size_error);
+  std::string text(size_error ? 0 : size, '\0');
+  file.read(text.data(), static_cast<std::streamsize>(text.size()));
+  size_t filled = static_cast<size_t>(file.gcount());
+  while (file && file.peek() != std::ifstream::traits_type::eof()) {
+    text.resize(std::max<size_t>(2 * text.size(), size_t{1} << 16));
+    file.read(text.data() + filled,
+              static_cast<std::streamsize>(text.size() - filled));
+    filled += static_cast<size_t>(file.gcount());
+  }
+  if (file.bad()) return Status::IoError("failed reading '" + path + "'");
+  text.resize(filled);
   // The whole-file text buffer is the transient peak of an ingest; charge
   // it for the duration of the parse so mem.xml_buffer's high-water shows
   // the real footprint of loading a large configuration.

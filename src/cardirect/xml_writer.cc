@@ -1,8 +1,16 @@
 // The configuration writer: appends each element of the DTD (xml.h)
-// straight to one output string, from regions() and ForEachRelation.
+// straight to one output string, from regions() and ForEachRelationAt.
+//
+// A document states up to n·(n−1) relations, each one of 512 masks between
+// two of n regions, so the text a <Relation> is made of is formatted once
+// per call: a type text per mask and a primary and a reference text per
+// region. Each relation is then three appends.
 
-#include <cstdlib>
+#include <array>
+#include <charconv>
 #include <fstream>
+#include <iterator>
+#include <string_view>
 
 #include "cardirect/xml.h"
 #include "obs/memstats.h"
@@ -33,12 +41,23 @@ void AppendAttribute(std::string_view name, std::string_view value,
   out->append(value.substr(done)).append("\"");
 }
 
-// Formats a coordinate compactly but round-trippably: %.15g covers most
-// values produced by hand or by the generators; %.17g always round-trips.
-std::string FormatCoordinate(double value) {
-  std::string candidate = StrFormat("%.15g", value);
-  if (std::strtod(candidate.c_str(), nullptr) == value) return candidate;
-  return StrFormat("%.17g", value);
+// Appends a coordinate compactly but round-trippably: as printf's %.15g
+// when that reads back to the same value, which covers most values
+// produced by hand or by the generators, and else as %.17g, which always
+// does. to_chars with a precision writes what printf writes.
+void AppendCoordinate(double value, std::string* out) {
+  char text[32];
+  char* end = std::to_chars(std::begin(text), std::end(text), value,
+                            std::chars_format::general, 15)
+                  .ptr;
+  double read_back = 0;
+  const auto [read_end, error] = std::from_chars(text, end, read_back);
+  if (error != std::errc() || read_end != end || read_back != value) {
+    end = std::to_chars(std::begin(text), std::end(text), value,
+                        std::chars_format::general, 17)
+              .ptr;
+  }
+  out->append(text, end);
 }
 
 }  // namespace
@@ -46,6 +65,8 @@ std::string FormatCoordinate(double value) {
 std::string ConfigurationToXml(const Configuration& configuration) {
   CARDIR_TRACE_SPAN("xml.serialize");
   const uint64_t start_us = obs::TraceNowMicros();
+  const std::vector<AnnotatedRegion>& regions = configuration.regions();
+  constexpr std::string_view kEnd = "</Image>\n";
   std::string out = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<Image";
   if (!configuration.name().empty()) {
     AppendAttribute("name", configuration.name(), &out);
@@ -55,8 +76,8 @@ std::string ConfigurationToXml(const Configuration& configuration) {
   }
   // Relations need regions, and a stored region holds at least one polygon
   // of at least three vertices, so only <Image> can be an empty element.
-  out += configuration.regions().empty() ? "/>\n" : ">\n";
-  for (const AnnotatedRegion& region : configuration.regions()) {
+  out += regions.empty() ? "/>\n" : ">\n";
+  for (const AnnotatedRegion& region : regions) {
     out += "  <Region";
     AppendAttribute("id", region.id, &out);
     if (!region.name.empty()) AppendAttribute("name", region.name, &out);
@@ -69,28 +90,50 @@ std::string ConfigurationToXml(const Configuration& configuration) {
       AppendAttribute("id", id, &out);
       out += ">\n";
       for (const Point& vertex : polygon.vertices()) {
-        out += "      <Edge";
-        AppendAttribute("x", FormatCoordinate(vertex.x), &out);
-        AppendAttribute("y", FormatCoordinate(vertex.y), &out);
-        out += "/>\n";
+        out += "      <Edge x=\"";
+        AppendCoordinate(vertex.x, &out);
+        out += "\" y=\"";
+        AppendCoordinate(vertex.y, &out);
+        out += "\"/>\n";
       }
       out += "    </Polygon>\n";
     }
     out += "  </Region>\n";
   }
-  // Computed configurations stream straight out of the RelationStore in
-  // the same canonical order the record vector holds, so the XML is
-  // byte-identical across the two representations.
-  configuration.ForEachRelation([&out](const std::string& primary_id,
-                                       const std::string& reference_id,
-                                       const CardinalRelation& relation) {
-    out += "  <Relation";
-    AppendAttribute("type", relation.ToString(), &out);
-    AppendAttribute("primary", primary_id, &out);
-    AppendAttribute("reference", reference_id, &out);
-    out += "/>\n";
-  });
-  if (!configuration.regions().empty()) out += "</Image>\n";
+  std::vector<std::string> primary_text(regions.size());
+  std::vector<std::string> reference_text(regions.size());
+  for (size_t k = 0; k < regions.size(); ++k) {
+    AppendAttribute("primary", regions[k].id, &primary_text[k]);
+    AppendAttribute("reference", regions[k].id, &reference_text[k]);
+    reference_text[k] += "/>\n";
+  }
+  std::array<std::string, 512> type_text;
+  for (uint16_t mask = 0; mask < type_text.size(); ++mask) {
+    type_text[mask] = "  <Relation";
+    AppendAttribute("type", CardinalRelation::FromMask(mask).Name(),
+                    &type_text[mask]);
+  }
+  // A first pass sizes the document exactly, so it is allocated once:
+  // growing it by doubling copies it and can leave up to twice its size
+  // allocated, and an upper bound raised the resident peak of later work
+  // (DESIGN §3.31).
+  size_t relation_bytes = 0;
+  configuration.ForEachRelationAt(
+      [&](size_t i, size_t j, const CardinalRelation& relation) {
+        relation_bytes += type_text[relation.mask()].size() +
+                          primary_text[i].size() + reference_text[j].size();
+      });
+  out.reserve(out.size() + relation_bytes + kEnd.size());
+  // Computed and XML-loaded relations stream in the order they are held,
+  // which for a computed configuration is the canonical one that a saved
+  // and reloaded document holds too.
+  configuration.ForEachRelationAt(
+      [&](size_t i, size_t j, const CardinalRelation& relation) {
+        out.append(type_text[relation.mask()])
+            .append(primary_text[i])
+            .append(reference_text[j]);
+      });
+  if (!regions.empty()) out += kEnd;
   CARDIR_METRIC_COUNT("xml.serialize.calls", 1);
   CARDIR_METRIC_COUNT("xml.serialize.bytes", out.size());
   CARDIR_METRIC_OBSERVE("xml.serialize_us", obs::TraceNowMicros() - start_us);

@@ -1,11 +1,32 @@
 #include "core/cardinal_relation.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace cardir {
+namespace {
+
+using NameTable = std::array<std::string, 512>;
+
+// The canonical name of every mask: its tiles in canonical order, separated
+// by ':'.
+NameTable BuildNameTable() {
+  NameTable names;
+  names[0] = "(empty)";
+  for (uint16_t mask = 1; mask < names.size(); ++mask) {
+    for (Tile t : CardinalRelation::FromMask(mask).Tiles()) {
+      if (!names[mask].empty()) names[mask] += ':';
+      names[mask] += TileName(t);
+    }
+  }
+  return names;
+}
+
+}  // namespace
 
 CardinalRelation CardinalRelation::FromMask(uint16_t mask) {
   CARDIR_CHECK((mask & ~0x1ffu) == 0) << "mask uses bits above the 9 tiles";
@@ -16,8 +37,11 @@ CardinalRelation CardinalRelation::FromMask(uint16_t mask) {
 
 Result<CardinalRelation> CardinalRelation::Parse(std::string_view text) {
   CardinalRelation relation;
-  for (const std::string& piece : StrSplit(text, ':')) {
-    const std::string_view name = StripWhitespace(piece);
+  // One piece per ':', empty ones included, each read in place.
+  for (size_t start = 0, end; start <= text.size(); start = end + 1) {
+    end = std::min(text.find(':', start), text.size());
+    const std::string_view name =
+        StripWhitespace(text.substr(start, end - start));
     Tile tile;
     if (!ParseTile(name, &tile)) {
       return Status::ParseError("unknown tile name: '" + std::string(name) +
@@ -45,15 +69,12 @@ std::vector<Tile> CardinalRelation::Tiles() const {
   return tiles;
 }
 
-std::string CardinalRelation::ToString() const {
-  if (IsEmpty()) return "(empty)";
-  std::string out;
-  for (Tile t : Tiles()) {
-    if (!out.empty()) out += ':';
-    out += TileName(t);
-  }
-  return out;
+std::string_view CardinalRelation::Name() const {
+  static const NameTable& names = *new NameTable(BuildNameTable());
+  return names[mask_];
 }
+
+std::string CardinalRelation::ToString() const { return std::string(Name()); }
 
 std::string CardinalRelation::ToMatrixString() const {
   // Rows printed north to south, columns west to east, as in the paper's

@@ -80,7 +80,12 @@ class CardinalRelation {
   /// Tiles in canonical order.
   std::vector<Tile> Tiles() const;
 
-  /// Canonical "B:S:SW" rendering ("(empty)" for the empty accumulator).
+  /// Canonical "B:S:SW" rendering ("(empty)" for the empty accumulator),
+  /// read from one table of all 512 masks that lives as long as the
+  /// program.
+  std::string_view Name() const;
+
+  /// Name() as a string.
   std::string ToString() const;
 
   /// Goyal–Egenhofer direction-relation matrix rendering (§2): three lines

@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -56,7 +57,19 @@ std::string StrJoin(const std::vector<std::string>& pieces,
 }
 
 Result<double> ParseDouble(std::string_view text) {
-  const std::string buf(StripWhitespace(text));
+  // The common case, a finite decimal number, parses in place. from_chars
+  // rounds as strtod does; whatever it does not read whole and finite
+  // (a '+' sign, hex, an underflow, inf, nan, garbage) goes to strtod, so
+  // values and rejections stay strtod's.
+  const std::string_view stripped = StripWhitespace(text);
+  double parsed = 0;
+  const char* last = stripped.data() + stripped.size();
+  const auto [end_of_number, error] =
+      std::from_chars(stripped.data(), last, parsed);
+  if (error == std::errc() && end_of_number == last && std::isfinite(parsed)) {
+    return parsed;
+  }
+  const std::string buf(stripped);
   if (buf.empty()) return Status::ParseError("empty number");
   errno = 0;
   char* end = nullptr;

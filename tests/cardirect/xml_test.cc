@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace cardir {
 namespace {
@@ -283,6 +291,33 @@ TEST(ConfigurationXmlTest, SaveAndLoadFiles) {
   EXPECT_EQ(loaded->regions().size(), original.regions().size());
   std::remove(path.c_str());
   EXPECT_FALSE(LoadConfiguration(path + ".does-not-exist").ok());
+}
+
+TEST(ConfigurationXmlTest, LoadsFromAPipe) {
+  // A FIFO has no size to read ahead; it loads to its end all the same,
+  // here across several read steps.
+  Configuration config;
+  for (int k = 0; k < 60; ++k) {
+    AnnotatedRegion region;
+    region.id = StrFormat("r%d", k);
+    region.geometry.AddPolygon(MakeRectangle(k, k % 7, k + 1.5, k % 7 + 2));
+    CARDIR_CHECK_OK(config.AddRegion(std::move(region)));
+  }
+  CARDIR_CHECK_OK(config.ComputeAllRelations());
+  const std::string xml = ConfigurationToXml(config);
+  ASSERT_GT(xml.size(), size_t{1} << 17);
+  // A reader that stops early makes the writer's next write fail (EPIPE)
+  // instead of ending the test binary.
+  std::signal(SIGPIPE, SIG_IGN);
+  const std::string path = ::testing::TempDir() + "/cardir_xml_test.fifo";
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  std::thread writer([&path, &xml] { std::ofstream(path) << xml; });
+  const Result<Configuration> loaded = LoadConfiguration(path);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(ConfigurationToXml(*loaded), xml);
 }
 
 }  // namespace
