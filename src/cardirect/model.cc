@@ -164,6 +164,13 @@ Status Configuration::SetRelations(std::vector<RelationRecord> relations) {
     if (primary == regions_.size() || reference == regions_.size()) {
       return Status::NotFound("relation names an unknown region id");
     }
+    if (primary == reference || record.relation.IsEmpty()) {
+      return Status::InvalidArgument(
+          "relation primary='" + record.primary_id + "' reference='" +
+          record.reference_id + "' " +
+          (primary == reference ? "relates a region to itself"
+                                : "is the empty relation"));
+    }
     pairs.push_back(static_cast<uint64_t>(primary) << 32 | reference);
   }
   std::sort(pairs.begin(), pairs.end());

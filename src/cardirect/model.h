@@ -185,9 +185,11 @@ class Configuration {
 
   /// Replaces the stored relations with explicit records (used by the XML
   /// reader), kept in the given order. Drops any delta engine. Fails,
-  /// changing nothing, with NotFound when a record names an unknown region
-  /// and with ParseError naming both ids when two records state one ordered
-  /// pair. Two id lookups per record plus one sort.
+  /// changing nothing, with NotFound when a record names an unknown region,
+  /// with InvalidArgument naming both ids when a record relates a region to
+  /// itself or states the empty relation (neither saves a document the
+  /// reader accepts), and with ParseError naming both ids when two records
+  /// state one ordered pair. Two id lookups per record plus one sort.
   Status SetRelations(std::vector<RelationRecord> relations);
 
  private:

@@ -103,15 +103,16 @@ void DeltaEngine::SetDegenerate(size_t id, bool degenerate) {
   }
 }
 
-void DeltaEngine::SampleColumn(size_t id) {
+void DeltaEngine::SampleDirty(size_t id) {
   DeltaScratch& ws = scratch_;
-  ws.column.assign(ws.affected.size(), ColumnEdit{});
-  // A new column postdates every base row: nothing was explicit against it.
+  ws.row.assign(ws.affected.size(), PairEdit{});
+  ws.column.assign(ws.affected.size(), PairEdit{});
+  // A new region postdates every base row: nothing was explicit with it.
   if (id >= store_.regions()) return;
-  const RegionProfile& profile = store_.profile_;
   for (size_t k = 0; k < ws.affected.size(); ++k) {
-    const uint8_t code = ClassPairCode(profile, ws.affected[k], id);
-    ws.column[k].was_explicit = RelationStore::ResolvableCode(code) ? 0 : 1;
+    const uint32_t j = ws.affected[k];
+    ws.row[k].was_explicit = store_.IsExplicit(id, j) ? 1 : 0;
+    ws.column[k].was_explicit = store_.IsExplicit(j, id) ? 1 : 0;
   }
 }
 
@@ -123,17 +124,15 @@ void DeltaEngine::ResolveDirty(size_t id, const Region& geometry,
   const RegionProfile& profile = store_.profile_;
   const Box id_box = profile.box(id);
   CdrMetricsDelta cdr_metrics;
-  ws.cols.clear();
-  ws.masks.clear();
   result->touched.reserve(ws.affected.size() * 2);
   for (size_t k = 0; k < ws.affected.size(); ++k) {
     const uint32_t j = ws.affected[k];
     const uint8_t code_ij = ClassPairCode(profile, id, j);
     if (!RelationStore::ResolvableCode(code_ij)) {
-      ws.cols.push_back(j);
-      ws.masks.push_back(ResolveExplicitMask(
-          code_ij, geometry, profile.box(j), profile, id, j,
-          plan_.poly, &cdr_metrics, &ws.cdr));
+      ws.row[k].now_explicit = 1;
+      ws.row[k].mask = ResolveExplicitMask(code_ij, geometry, profile.box(j),
+                                           profile, id, j, plan_.poly,
+                                           &cdr_metrics, &ws.cdr);
       ++result->pairs_reresolved;
     } else {
       ++result->pairs_implicit;
@@ -157,10 +156,9 @@ void DeltaEngine::ResolveDirty(size_t id, const Region& geometry,
 void DeltaEngine::PatchColumn(size_t id) {
   const DeltaScratch& ws = scratch_;
   for (size_t k = 0; k < ws.affected.size(); ++k) {
-    const ColumnEdit& column = ws.column[k];
-    if (column.was_explicit != 0 || column.now_explicit != 0) {
-      store_.PatchPair(ws.affected[k], id, column.was_explicit != 0,
-                       column.now_explicit != 0, column.mask);
+    const PairEdit& change = ws.column[k];
+    if (change.was_explicit != 0 || change.now_explicit != 0) {
+      store_.PatchPair(ws.affected[k], id, change);
     }
   }
 }
@@ -168,8 +166,7 @@ void DeltaEngine::PatchColumn(size_t id) {
 void DeltaEngine::PatchDirty(size_t id) {
   CARDIR_TRACE_SPAN("delta.patch");
   PatchColumn(id);
-  store_.ReplaceRow(id, scratch_.cols, scratch_.masks);
-  for (const uint32_t j : scratch_.affected) store_.MaybeCompactRow(j);
+  store_.PatchRow(id, scratch_.affected, scratch_.row);
   store_.RechargeMem();
 }
 
@@ -214,7 +211,7 @@ Result<DeltaResult> DeltaEngine::Insert(const Region& region,
     // every base row, so nothing was explicit against it before.
     CARDIR_TRACE_SPAN("delta.gather");
     GatherAffected(id, degenerate, /*old_box=*/Box(), box);
-    SampleColumn(id);
+    SampleDirty(id);
   }
 
   store_.AppendRegion(box);
@@ -242,10 +239,10 @@ Result<DeltaResult> DeltaEngine::Move(size_t id, const Region& geometry,
     CARDIR_TRACE_SPAN("delta.gather");
     GatherAffected(id, profile.cross_override[id] != 0 || new_degenerate,
                    profile.box(id), new_box);
-    // (j, id) explicitness must be sampled before the profile moves: it is
-    // the `was_explicit` PatchPair needs to know whether the base row
-    // still carries a slot for the column.
-    SampleColumn(id);
+    // (id, j) and (j, id) explicitness must be sampled before the profile
+    // moves: it is the `was_explicit` the patches need to know whether the
+    // base row still carries a slot for the pair.
+    SampleDirty(id);
   }
 
   store_.SetRegionBox(id, new_box);
@@ -255,7 +252,7 @@ Result<DeltaResult> DeltaEngine::Move(size_t id, const Region& geometry,
   SetDegenerate(id, new_degenerate);
 
   // Re-resolve the dirty pairs against the updated profile: row id is
-  // rewritten wholesale, column id patched in every affected row.
+  // patched in one merge, column id in every affected row.
   return ResolveAndPatch(id, geometry, region_at, start_us, "delta.move");
 }
 
@@ -270,7 +267,7 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
     CARDIR_TRACE_SPAN("delta.gather");
     GatherAffected(id, profile.cross_override[id] != 0,
                    profile.box(id), /*new_box=*/Box());
-    SampleColumn(id);
+    SampleDirty(id);
   }
   const DeltaScratch& ws = scratch_;
 
@@ -288,9 +285,6 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
     PatchColumn(id);
     store_.EraseRegion(id);
     plan_.poly.EraseRegion(id);
-    for (const uint32_t j : ws.affected) {
-      store_.MaybeCompactRow(j > id ? j - 1 : j);
-    }
     store_.RechargeMem();
   }
   // After EraseRegion: the indexes read their intervals from the profile.

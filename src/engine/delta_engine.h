@@ -19,8 +19,9 @@
 // live box profile on every read, so they need no storage update at all.
 // Dirty pairs are re-resolved with the exact sweep resolution kernel
 // (ResolveExplicitMask) and spliced into the store via its mutation layer
-// (ReplaceRow for the mutated row, PatchPair for the mutated column; see
-// relation_store.h and DESIGN.md §3.20).
+// under one rule: PatchPair for the mutated column, and for the mutated
+// row the same patch in one merge (PatchRow; see relation_store.h and
+// DESIGN.md §3.20, §3.32).
 //
 // Correctness contract: after any mutation sequence, Digest() is
 // bit-identical to the serial Compute-CDR loop over the same geometries (the
@@ -69,14 +70,6 @@ struct DeltaResult {
   uint64_t apply_us = 0;        ///< Wall time of the apply, microseconds.
 };
 
-/// The mutated column's pair (j, k) for one dirty partner j: explicit
-/// before / after the profile change, and its mask when explicit after.
-struct ColumnEdit {
-  uint8_t was_explicit = 0;
-  uint8_t now_explicit = 0;
-  uint16_t mask = 0;
-};
-
 /// Per-engine working memory of the delta apply: the candidate bitset, the
 /// Compute-CDR scratch arena and the reusable gather/emit vectors. Guarded
 /// by the engine's mutex; escapes into cross-thread lambdas are forbidden
@@ -84,16 +77,13 @@ struct ColumnEdit {
 struct DeltaScratch {
   CandidateBitset bits;
   CdrScratch cdr;
-  std::vector<uint32_t> affected;   // Dirty partner ids, ascending.
-  std::vector<ColumnEdit> column;   // Column pair (j, k), per partner.
-  std::vector<uint32_t> cols;       // Rewritten row: explicit columns…
-  std::vector<uint16_t> masks;      // …and their masks.
+  std::vector<uint32_t> affected;  // Dirty partner ids j, ascending.
+  std::vector<PairEdit> row;       // Row pair (k, j), per partner.
+  std::vector<PairEdit> column;    // Column pair (j, k), per partner.
 
   size_t bytes() const {
     return bits.bytes() + affected.capacity() * sizeof(uint32_t) +
-           column.capacity() * sizeof(ColumnEdit) +
-           cols.capacity() * sizeof(uint32_t) +
-           masks.capacity() * sizeof(uint16_t);
+           (row.capacity() + column.capacity()) * sizeof(PairEdit);
   }
 };
 
@@ -155,14 +145,14 @@ class DeltaEngine {
   void GatherAffected(size_t id, bool all_rows, const Box& old_box,
                       const Box& new_box);
   // The stages of one mutation, over the dirty partners in
-  // scratch_.affected. SampleColumn records (j, id) explicitness before the
-  // profile changes; ResolveDirty re-resolves row id (primary `geometry`)
-  // and column id (primaries from `region_at`) against the updated profile
-  // (span delta.resolve); PatchColumn applies column id's changed pairs;
-  // PatchDirty also rewrites row id and compacts (span delta.patch);
+  // scratch_.affected. SampleDirty records (id, j) and (j, id) explicitness
+  // before the profile changes; ResolveDirty re-resolves row id (primary
+  // `geometry`) and column id (primaries from `region_at`) against the
+  // updated profile (span delta.resolve); PatchColumn applies column id's
+  // changed pairs; PatchDirty also patches row id (span delta.patch);
   // ResolveAndPatch runs the last two for Insert and Move and reports the
   // apply as `event`.
-  void SampleColumn(size_t id);
+  void SampleDirty(size_t id);
   void ResolveDirty(size_t id, const Region& geometry,
                     const RegionAccessor& region_at, DeltaResult* result);
   void PatchColumn(size_t id);

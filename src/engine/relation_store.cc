@@ -7,63 +7,52 @@ namespace cardir {
 CardinalRelation RelationStore::Relation(size_t primary,
                                          size_t reference) const {
   if (primary == reference) return CardinalRelation();
-  const RowEdit* edit = FindEdit(primary);
-  if (edit != nullptr && edit->loose) {
-    const auto pos = std::lower_bound(edit->cols.begin(), edit->cols.end(),
-                                      static_cast<uint32_t>(reference));
-    if (pos != edit->cols.end() && *pos == reference) {
-      return CardinalRelation::FromMask(
-          edit->masks[static_cast<size_t>(pos - edit->cols.begin())]);
-    }
-    return (*relations_)[ClassPairCode(profile_, primary, reference)];
-  }
+  const std::array<CardinalRelation, kNumClassPairCodes>& relations =
+      ClassPairRelations();
   const uint8_t code = ClassPairCode(profile_, primary, reference);
-  const std::vector<RowPatch>* patches =
-      edit != nullptr ? &edit->patches : nullptr;
-  if (patches != nullptr) {
-    auto pos = std::lower_bound(
-        patches->begin(), patches->end(), static_cast<uint32_t>(reference),
-        [](const RowPatch& patch, uint32_t col) { return patch.col < col; });
-    while (pos != patches->end() && pos->col == reference &&
-           pos->is_ghost != 0) {
-      ++pos;
-    }
-    if (pos != patches->end() && pos->col == reference) {
-      if (pos->is_explicit != 0) return CardinalRelation::FromMask(pos->mask);
-      return (*relations_)[code];
+  const RowEdit* edit = FindEdit(primary);
+  if (edit != nullptr) {
+    const size_t at = OverrideAt(*edit, static_cast<uint32_t>(reference));
+    if (at < edit->cols.size() && edit->cols[at] == reference) {
+      const uint16_t entry = edit->entries[at];
+      if ((entry & kExplicit) != 0) {
+        return CardinalRelation::FromMask(entry & kMaskBits);
+      }
+      return relations[code];
     }
   }
-  if (ResolvableCode(code)) return (*relations_)[code];
+  if (ResolvableCode(code)) return relations[code];
   // Rank `reference` among the row's base-consuming columns: the overlay
   // stores masks in ascending reference order with no indices, so
   // membership (an O(1) classification per column, adjusted by the row's
   // patch flags) doubles as the rank function.
   uint64_t rank = row_offsets_[primary];
-  if (patches == nullptr) {
+  if (edit == nullptr) {
     for (size_t j = 0; j < reference; ++j) {
       if (j == primary) continue;
       if (!ResolvableCode(ClassPairCode(profile_, primary, j))) ++rank;
     }
     return CardinalRelation::FromMask(overlay_masks_[rank]);
   }
+  const uint32_t* cols = edit->cols.data();
+  const uint16_t* entries = edit->entries.data();
+  const size_t pn = edit->cols.size();
   size_t pi = 0;
-  const size_t pn = patches->size();
   for (size_t j = 0; j < reference; ++j) {
-    while (pi < pn && (*patches)[pi].col == j && (*patches)[pi].is_ghost) {
+    while (pi < pn && cols[pi] == j && (entries[pi] & kGhost) != 0) {
       ++rank;
       ++pi;
     }
     if (j == primary) continue;
-    if (pi < pn && (*patches)[pi].col == j) {
-      if ((*patches)[pi].consumes_base != 0) ++rank;
+    if (pi < pn && cols[pi] == j) {
+      if ((entries[pi] & kConsumesBase) != 0) ++rank;
       ++pi;
     } else if (!ResolvableCode(ClassPairCode(profile_, primary, j))) {
       ++rank;
     }
   }
   // Ghosts parked at `reference` consume before its own slot.
-  while (pi < pn && (*patches)[pi].col == reference &&
-         (*patches)[pi].is_ghost) {
+  while (pi < pn && cols[pi] == reference && (entries[pi] & kGhost) != 0) {
     ++rank;
     ++pi;
   }
@@ -118,81 +107,79 @@ void RelationStore::DropEditAt(uint32_t slot) {
   edits_.pop_back();
 }
 
-void RelationStore::ReplaceRow(size_t row, std::vector<uint32_t> cols,
-                               std::vector<uint16_t> masks) {
-  assert(cols.size() == masks.size());
-  assert(std::is_sorted(cols.begin(), cols.end()));
-  RowEdit& edit = EditFor(row);
-  const size_t before = HeapBytes(edit);
-  edit.loose = true;
-  edit.cols = std::move(cols);
-  edit.masks = std::move(masks);
-  edit.patches = std::vector<RowPatch>();  // Release, not just clear.
-  edit_heap_bytes_ = edit_heap_bytes_ + HeapBytes(edit) - before;
-}
-
-void RelationStore::PatchPair(size_t row, size_t col, bool was_explicit,
-                              bool now_explicit, uint16_t mask) {
+void RelationStore::PatchPair(size_t row, size_t col,
+                              const PairEdit& change) {
   RowEdit* edit = FindEdit(row);
   if (edit == nullptr) {
-    if (!was_explicit && !now_explicit) return;
+    if (PatchedEntry(0, change) == 0) return;
     edit = &EditFor(row);
   }
   const uint32_t col32 = static_cast<uint32_t>(col);
-  const size_t before = HeapBytes(*edit);
-  if (edit->loose) {
-    // Loose row: edit the explicit column list in place.
-    auto pos = std::lower_bound(edit->cols.begin(), edit->cols.end(), col32);
-    const size_t k = static_cast<size_t>(pos - edit->cols.begin());
-    const bool present = pos != edit->cols.end() && *pos == col32;
-    if (now_explicit) {
-      if (present) {
-        edit->masks[k] = mask;
-      } else {
-        if (edit->cols.size() == edit->cols.capacity()) {
-          // Grow a full row by an eighth, not by doubling: the insert
-          // memmoves the row anyway, so this keeps it O(row) per insert
-          // while a row's slack stays a fraction of its live columns.
-          const size_t grown = edit->cols.size() + edit->cols.size() / 8 + 4;
-          edit->cols.reserve(grown);
-          edit->masks.reserve(grown);
-        }
-        edit->cols.insert(edit->cols.begin() + static_cast<ptrdiff_t>(k),
-                          col32);
-        edit->masks.insert(edit->masks.begin() + static_cast<ptrdiff_t>(k),
-                           mask);
-      }
-    } else if (present) {
-      edit->cols.erase(pos);
-      edit->masks.erase(edit->masks.begin() + static_cast<ptrdiff_t>(k));
+  const size_t at = OverrideAt(*edit, col32);
+  const bool present = at < edit->cols.size() && edit->cols[at] == col32;
+  const uint16_t entry = PatchedEntry(present ? edit->entries[at] : 0, change);
+  const ptrdiff_t offset = static_cast<ptrdiff_t>(at);
+  if (present && entry != 0) {
+    edit->entries[at] = entry;
+  } else if (present) {
+    edit->cols.erase(edit->cols.begin() + offset);
+    edit->entries.erase(edit->entries.begin() + offset);
+  } else if (entry != 0) {
+    if (edit->cols.size() == edit->cols.capacity()) {
+      // Grow a full list by an eighth, not by doubling: the insert
+      // memmoves the list anyway, so this keeps it O(list) per insert
+      // while the slack stays a fraction of the entries.
+      const size_t before = HeapBytes(*edit);
+      const size_t grown = edit->cols.size() + edit->cols.size() / 8 + 4;
+      edit->cols.reserve(grown);
+      edit->entries.reserve(grown);
+      edit_heap_bytes_ = edit_heap_bytes_ + HeapBytes(*edit) - before;
     }
-  } else {
-    std::vector<RowPatch>& list = edit->patches;
-    auto pos = std::lower_bound(
-        list.begin(), list.end(), col32,
-        [](const RowPatch& entry, uint32_t c) { return entry.col < c; });
-    while (pos != list.end() && pos->col == col32 && pos->is_ghost != 0) {
-      ++pos;
+    edit->cols.insert(edit->cols.begin() + offset, col32);
+    edit->entries.insert(edit->entries.begin() + offset, entry);
+  }
+}
+
+void RelationStore::PatchRow(size_t row, const std::vector<uint32_t>& cols,
+                             const std::vector<PairEdit>& changes) {
+  assert(cols.size() == changes.size());
+  assert(std::is_sorted(cols.begin(), cols.end()));
+  const RowEdit* edit = FindEdit(row);
+  const size_t size = edit != nullptr ? edit->cols.size() : 0;
+  // One merge of the list with `cols`: entries of other columns (ghosts
+  // included) carry over, each changed column keeps its PatchedEntry.
+  std::vector<uint32_t> merged_cols;
+  std::vector<uint16_t> merged_entries;
+  merged_cols.reserve(size + cols.size());
+  merged_entries.reserve(size + cols.size());
+  size_t p = 0;
+  const auto carry_below = [&](uint32_t col) {  // Up to col's override.
+    while (p < size &&
+           (edit->cols[p] < col ||
+            (edit->cols[p] == col && (edit->entries[p] & kGhost) != 0))) {
+      merged_cols.push_back(edit->cols[p]);
+      merged_entries.push_back(edit->entries[p++]);
     }
-    if (pos != list.end() && pos->col == col32) {
-      // Existing override: keep its base-slot flag (set at first patch,
-      // when "before" still meant base-build time).
-      if (!now_explicit && pos->consumes_base == 0) {
-        list.erase(pos);  // Degenerated to a no-op entry.
-      } else {
-        pos->is_explicit = now_explicit ? 1 : 0;
-        pos->mask = mask;
-      }
-    } else if (was_explicit || now_explicit) {
-      RowPatch patch;
-      patch.col = col32;
-      patch.consumes_base = was_explicit ? 1 : 0;
-      patch.is_explicit = now_explicit ? 1 : 0;
-      patch.mask = mask;
-      list.insert(pos, patch);
+  };
+  for (size_t k = 0; k < cols.size(); ++k) {
+    carry_below(cols[k]);
+    const bool present = p < size && edit->cols[p] == cols[k];
+    const uint16_t entry =
+        PatchedEntry(present ? edit->entries[p++] : 0, changes[k]);
+    if (entry != 0) {
+      merged_cols.push_back(cols[k]);
+      merged_entries.push_back(entry);
     }
   }
-  edit_heap_bytes_ = edit_heap_bytes_ + HeapBytes(*edit) - before;
+  carry_below(~uint32_t{0});
+  if (edit == nullptr && merged_cols.empty()) return;
+  // The row keeps its arrays when the merge fits them and is sized
+  // exactly when it outgrows them.
+  RowEdit& target = EditFor(row);
+  const size_t before = HeapBytes(target);
+  target.cols.assign(merged_cols.begin(), merged_cols.end());
+  target.entries.assign(merged_entries.begin(), merged_entries.end());
+  edit_heap_bytes_ = edit_heap_bytes_ + HeapBytes(target) - before;
 }
 
 void RelationStore::EraseRegion(size_t id) {
@@ -225,60 +212,24 @@ void RelationStore::EraseRegion(size_t id) {
   for (uint32_t slot = static_cast<uint32_t>(edits_.size()); slot-- > 0;) {
     RowEdit& edit = edits_[slot];
     if (edit.row > id32) --edit.row;
-    if (edit.loose) {
-      // Loose row: drop the erased column, renumber the ones above it.
-      auto pos = std::lower_bound(edit.cols.begin(), edit.cols.end(), id32);
-      if (pos != edit.cols.end() && *pos == id32) {
-        edit.masks.erase(edit.masks.begin() + (pos - edit.cols.begin()));
-        pos = edit.cols.erase(pos);
+    // Ghosts parked at column id stay there: they now sit before the
+    // column that renumbers onto id, as their slots sit in the base. The
+    // erased column's own override becomes a ghost if it consumes a base
+    // slot and goes otherwise; the columns above it renumber down. Both
+    // keep the list sorted on (column, ghosts first).
+    size_t k = OverrideAt(edit, id32);
+    if (k < edit.cols.size() && edit.cols[k] == id32) {
+      if ((edit.entries[k] & kConsumesBase) != 0) {
+        edit.entries[k] = kGhost | kConsumesBase;
+        ++k;
+      } else {
+        edit.cols.erase(edit.cols.begin() + static_cast<ptrdiff_t>(k));
+        edit.entries.erase(edit.entries.begin() + static_cast<ptrdiff_t>(k));
       }
-      for (auto it = pos; it != edit.cols.end(); ++it) --*it;
-      continue;
     }
-    // Patch list: the erased column's base-consuming overrides become
-    // ghosts (their orphaned base slot outlives the column), its other
-    // overrides drop, higher columns renumber. Each entry maps to at most
-    // one, and the map is monotone on (col, ghosts-first), so the list
-    // compacts in place and stays sorted. A list left empty is freed.
-    size_t out = 0;
-    for (RowPatch patch : edit.patches) {
-      if (patch.is_ghost == 0 && patch.col == id32) {
-        if (patch.consumes_base == 0) continue;
-        patch.is_ghost = 1;
-        patch.is_explicit = 0;
-        patch.mask = 0;
-      } else if (patch.col > id32) {
-        --patch.col;
-      }
-      edit.patches[out++] = patch;
-    }
-    edit.patches.resize(out);
-    if (out == 0) DropEditAt(slot);
+    for (; k < edit.cols.size(); ++k) --edit.cols[k];
+    if (edit.cols.empty()) DropEditAt(slot);
   }
-}
-
-void RelationStore::MaybeCompactRow(size_t row) {
-  RowEdit* edit = FindEdit(row);
-  if (edit == nullptr || edit->loose ||
-      edit->patches.size() <= kCompactPatches) {
-    return;
-  }
-  // Rebuild the row as a loose row via one merged walk; the current codes
-  // decide explicitness (patches never disagree with them — they exist to
-  // keep the base cursor aligned and to carry masks).
-  std::vector<uint32_t> cols;
-  std::vector<uint16_t> masks;
-  ForEachInRow(row, [this, row, &cols, &masks](
-                        size_t j, const CardinalRelation& relation) {
-    if (!ResolvableCode(ClassPairCode(profile_, row, j))) {
-      cols.push_back(static_cast<uint32_t>(j));
-      masks.push_back(relation.mask());
-    }
-  });
-  // Exactly sized: PatchPair grows a full loose row by a fraction.
-  cols.shrink_to_fit();
-  masks.shrink_to_fit();
-  ReplaceRow(row, std::move(cols), std::move(masks));
 }
 
 void RelationStore::RechargeMem() {

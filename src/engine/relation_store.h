@@ -31,15 +31,14 @@
 // ComputeRelationStore builds the store with a plane-sweep spatial join
 // instead of all-pairs enumeration: see engine/sweep_join.cc.
 //
-// Mutation layer (DESIGN.md §3.20): the store supports single-region
-// rewrites without rebuilding the positional base. The base overlay stays
-// immutable between EraseRegion calls; edits are layered on top as
-//   * per-row *patch lists* — sparse column overrides, sorted by column,
-//     each recording whether the base row still carries an (orphaned) slot
-//     for that column (`consumes_base`), so the walk stays cursor-aligned;
-//     *ghost* entries consume a base slot of an erased column;
-//   * *loose rows* — rows rewritten wholesale as explicit column-id/mask
-//     pairs, their base slots orphaned.
+// Mutation layer (DESIGN.md §3.20, §3.32): the store supports
+// single-region rewrites without rebuilding the positional base. The base
+// overlay stays immutable between EraseRegion calls; an edited row is its
+// base slots plus one *patch list*, sorted by column: 6 bytes per entry
+// (a uint32_t column and a uint16_t holding the 9-bit mask and three
+// flags). An entry overrides its column and records whether the base row
+// still carries an (orphaned) slot for it (`consumes base`), so the walk
+// stays cursor-aligned; a *ghost* consumes a base slot of an erased column.
 // The edit layer is row-indexed: a uint32_t row → record table points into
 // a dense pool of per-row edit records, so finding a row's edits is one
 // array index and EraseRegion renumbers rows and columns in place.
@@ -47,8 +46,8 @@
 // consistency contract: after every profile change (SetRegionBox /
 // AppendRegion), every pair whose explicitness or mask changed must be
 // patched before the store is read — exactly the dirty set the sweep
-// completeness bound yields. MaybeCompactRow converts a long patch list to
-// a loose row, keeping per-row walk overhead amortized O(1) per patch.
+// completeness bound yields. PatchPair patches one pair, PatchRow a
+// mutated region's row in one merge, both under one rule.
 
 #ifndef CARDIR_ENGINE_RELATION_STORE_H_
 #define CARDIR_ENGINE_RELATION_STORE_H_
@@ -133,6 +132,15 @@ inline std::vector<const Region*> RegionPointers(
   return pointers;
 }
 
+/// One pair's change under a mutation: whether it was explicit immediately
+/// before the profile change and is explicit after, and its mask when
+/// explicit after (RelationStore::PatchPair / PatchRow).
+struct PairEdit {
+  uint8_t was_explicit = 0;
+  uint8_t now_explicit = 0;
+  uint16_t mask = 0;
+};
+
 /// The relation between every ordered pair of an engine run's regions,
 /// stored as box profile + explicit-pair overlay (see file comment).
 /// Cheaply movable; charges its footprint to the mem.relation_store arena.
@@ -150,7 +158,6 @@ class RelationStore {
         edit_slot_(other.edit_slot_),
         edits_(other.edits_),
         edit_heap_bytes_(SumHeapBytes(edits_)),
-        relations_(other.relations_),
         charge_(bytes()) {}
   RelationStore& operator=(const RelationStore& other) {
     if (this != &other) {
@@ -160,7 +167,6 @@ class RelationStore {
       edit_slot_ = other.edit_slot_;
       edits_ = other.edits_;
       edit_heap_bytes_ = SumHeapBytes(edits_);
-      relations_ = other.relations_;
       charge_ = MemCharge(bytes());
     }
     return *this;
@@ -177,12 +183,12 @@ class RelationStore {
 
   /// Base-overlay slots. On a freshly built store this is exactly the
   /// explicit pair count; after mutations it also counts slots orphaned by
-  /// patches and loose rows (reclaimed only by a full rebuild).
+  /// patches (reclaimed only by a full rebuild).
   size_t overlay_pairs() const { return overlay_masks_.size(); }
 
   /// Storage footprint in bytes (what mem.relation_store is charged),
-  /// including the mutation layer's patch lists and loose rows. Exact and
-  /// O(1): the edit records' list capacities are a running total.
+  /// including the mutation layer's patch lists. Exact and O(1): the edit
+  /// records' list capacities are a running total.
   size_t bytes() const {
     return (profile_.min_x.capacity() + profile_.max_x.capacity() +
             profile_.min_y.capacity() + profile_.max_y.capacity()) *
@@ -208,12 +214,12 @@ class RelationStore {
 
   /// The stored relation `primary R reference`. Precondition: both indices
   /// in range and distinct (returns the empty relation for primary ==
-  /// reference). A row with an edit record first binary-searches its patch
-  /// list or loose columns (O(log n)); a loose row answers there. Otherwise
-  /// an implicit pair is O(1) and an explicit one ranks `reference` among
-  /// the row's base columns, O(n) scalar classifications (9.8 µs at 4k
-  /// regions, 93 µs at 50k) — readers that hold the class code read only
-  /// kCross pairs here; use ForEachInRow for bulk traversal.
+  /// reference). A patched row first binary-searches its patch list
+  /// (O(log n)). Otherwise an implicit pair is O(1) and an explicit one
+  /// ranks `reference` among the row's base columns, O(n) scalar
+  /// classifications (9.8 µs at 4k regions, 93 µs at 50k) — readers that
+  /// hold the class code read only kCross pairs here; use ForEachInRow for
+  /// bulk traversal.
   CardinalRelation Relation(size_t primary, size_t reference) const;
 
   /// Invokes `fn(reference, relation)` for every reference ≠ primary in
@@ -222,31 +228,17 @@ class RelationStore {
   template <typename Fn>
   void ForEachInRow(size_t primary, Fn&& fn) const {
     const size_t n = profile_.size();
-    const RowEdit* edit = FindEdit(primary);
-    if (edit != nullptr && edit->loose) {
-      // Loose row: the sorted explicit columns are authoritative, the base
-      // slots (if any) are orphaned.
-      size_t k = 0;
-      for (size_t j = 0; j < n; ++j) {
-        if (j == primary) continue;
-        if (k < edit->cols.size() && edit->cols[k] == j) {
-          fn(j, CardinalRelation::FromMask(edit->masks[k++]));
-        } else {
-          fn(j, (*relations_)[ClassPairCode(profile_, primary, j)]);
-        }
-      }
-      return;
-    }
-    const std::vector<RowPatch>* patches =
-        edit != nullptr ? &edit->patches : nullptr;
+    const std::array<CardinalRelation, kNumClassPairCodes>& relations =
+        ClassPairRelations();
     const uint16_t* overlay = overlay_masks_.data() + row_offsets_[primary];
     size_t cursor = 0;
-    if (patches == nullptr) {
+    const RowEdit* edit = FindEdit(primary);
+    if (edit == nullptr) {
       for (size_t j = 0; j < n; ++j) {
         if (j == primary) continue;
         const uint8_t code = ClassPairCode(profile_, primary, j);
         if (ResolvableCode(code)) {
-          fn(j, (*relations_)[code]);
+          fn(j, relations[code]);
         } else {
           fn(j, CardinalRelation::FromMask(overlay[cursor++]));
         }
@@ -259,27 +251,29 @@ class RelationStore {
     // at the top of their column's iteration — before the self-skip, since
     // renumbering can leave a ghost at the row's own index — and a final
     // pass drains ghosts parked past the last column.
+    const uint32_t* cols = edit->cols.data();
+    const uint16_t* entries = edit->entries.data();
+    const size_t pn = edit->cols.size();
     size_t pi = 0;
-    const size_t pn = patches->size();
     for (size_t j = 0; j <= n; ++j) {
-      while (pi < pn && (*patches)[pi].col == j && (*patches)[pi].is_ghost) {
+      while (pi < pn && cols[pi] == j && (entries[pi] & kGhost) != 0) {
         ++cursor;
         ++pi;
       }
       if (j == n) break;
       if (j == primary) continue;
-      if (pi < pn && (*patches)[pi].col == j) {
-        const RowPatch& patch = (*patches)[pi++];
-        if (patch.consumes_base != 0) ++cursor;
-        if (patch.is_explicit != 0) {
-          fn(j, CardinalRelation::FromMask(patch.mask));
+      if (pi < pn && cols[pi] == j) {
+        const uint16_t entry = entries[pi++];
+        if ((entry & kConsumesBase) != 0) ++cursor;
+        if ((entry & kExplicit) != 0) {
+          fn(j, CardinalRelation::FromMask(entry & kMaskBits));
         } else {
-          fn(j, (*relations_)[ClassPairCode(profile_, primary, j)]);
+          fn(j, relations[ClassPairCode(profile_, primary, j)]);
         }
       } else {
         const uint8_t code = ClassPairCode(profile_, primary, j);
         if (ResolvableCode(code)) {
-          fn(j, (*relations_)[code]);
+          fn(j, relations[code]);
         } else {
           fn(j, CardinalRelation::FromMask(overlay[cursor++]));
         }
@@ -317,56 +311,45 @@ class RelationStore {
   void SetRegionBox(size_t id, const Box& box);
 
   /// Extends the profile with a new region (index regions()); its row has
-  /// no base slots, so the caller must ReplaceRow it before reading, and
+  /// no base slots, so the caller must PatchRow it before reading, and
   /// PatchPair the new column into every row where (j, new) is explicit
-  /// (was_explicit = false — the base rows predate the column).
+  /// (was_explicit = 0 — the base rows predate the column).
   void AppendRegion(const Box& box);
 
-  /// Rewrites row `row` wholesale: `cols` (ascending) are its explicit
-  /// reference columns, `masks` their relation masks. Drops the row's
-  /// patches; its base slots become orphaned.
-  void ReplaceRow(size_t row, std::vector<uint32_t> cols,
-                  std::vector<uint16_t> masks);
+  /// Records that pair (row, col)'s stored state changed (`change`, see
+  /// PairEdit). Explicit pairs whose mask is unchanged must be patched too
+  /// — the base slot is stale once the profile moved. The pair's entry
+  /// keeps the base-slot flag of its first patch, when "before" still
+  /// meant base-build time, and is dropped once it is implicit and owns no
+  /// base slot. A full patch list grows by an eighth (+4), so its slack
+  /// stays a fraction of its live entries.
+  void PatchPair(size_t row, size_t col, const PairEdit& change);
 
-  /// Records that pair (row, col)'s stored state changed: `was_explicit`
-  /// is its explicitness immediately before the current mutation's profile
-  /// change, `now_explicit` its explicitness after; `mask` the new mask
-  /// (ignored unless now_explicit). Explicit pairs whose mask is unchanged
-  /// must be patched too — the base slot is stale once the profile moved.
-  /// A column inserted into a full loose row grows it by an eighth (+4),
-  /// so a loose row's slack stays a fraction of its live columns.
-  void PatchPair(size_t row, size_t col, bool was_explicit, bool now_explicit,
-                 uint16_t mask);
+  /// PatchPair of (row, cols[k]) by changes[k] for every k, in one merge
+  /// of the row's patch list with `cols` (ascending, row itself absent):
+  /// how the DeltaEngine writes a mutated region's row from its dirty set.
+  void PatchRow(size_t row, const std::vector<uint32_t>& cols,
+                const std::vector<PairEdit>& changes);
 
   /// Removes region `id`: its row, its column in every other row, its
   /// profile entry; indices above `id` renumber down by one. Precondition:
   /// every explicit pair (j, id) has been patched implicit (PatchPair with
-  /// now_explicit = false), so base slots of column `id` are recorded in
+  /// now_explicit = 0), so base slots of column `id` are recorded in
   /// patch lists and convert to ghosts. O(regions + overlay + edits) of
   /// memmove-class work: the base and the row → edit table are spliced, and
   /// one pass renumbers the edit records in place (no container rebuilt).
   void EraseRegion(size_t id);
-
-  /// Converts `row`'s patch list to a loose row once it outgrows
-  /// kCompactPatches — O(regions), amortized O(1) per patch. The loose
-  /// row's lists are sized exactly. Call after a batch of PatchPair
-  /// applications.
-  void MaybeCompactRow(size_t row);
 
   /// Re-charges the mem.relation_store arena for the current footprint.
   /// Call once per mutation batch. Audit builds check the running edit-layer
   /// total against a walk of the records here.
   void RechargeMem();
 
-  /// Rows currently carrying edits (loose or patched) — test hook.
-  size_t edited_rows() const { return edits_.size(); }
-
-  /// How row `row` is currently stored — test hook.
-  enum class RowState { kBase, kPatched, kLoose };
-  RowState row_state(size_t row) const {
+  /// Entries in row `row`'s patch list, ghosts included; 0 for a row that
+  /// reads its base only — test hook.
+  size_t patch_entries(size_t row) const {
     const RowEdit* edit = FindEdit(row);
-    if (edit == nullptr) return RowState::kBase;
-    return edit->loose ? RowState::kLoose : RowState::kPatched;
+    return edit != nullptr ? edit->cols.size() : 0;
   }
 
  private:
@@ -375,33 +358,48 @@ class RelationStore {
                                          SweepPlan*);
   friend class DeltaEngine;
 
-  // Patch lists longer than this compact into a loose row.
-  static constexpr size_t kCompactPatches = 64;
   // edit_slot_ value of a row without an edit record.
   static constexpr uint32_t kNoEdit = ~uint32_t{0};
+  // A patch entry: the relation mask in the low 9 bits, then the flags. A
+  // stored entry is never 0 (see PatchedEntry).
+  static constexpr uint16_t kMaskBits = 0x01ff;
+  static constexpr uint16_t kConsumesBase = 1u << 9;
+  static constexpr uint16_t kExplicit = 1u << 10;
+  static constexpr uint16_t kGhost = 1u << 11;
 
-  // One sparse edit to a base row. Sorted by (col, ghosts first). A ghost
-  // consumes one orphaned base slot of an erased column; a normal entry
-  // overrides column `col` (is_explicit/mask) and consumes a base slot iff
-  // the base row was built with one for that column.
-  struct RowPatch {
-    uint32_t col = 0;
-    uint8_t consumes_base = 0;
-    uint8_t is_explicit = 0;
-    uint8_t is_ghost = 0;
-    uint16_t mask = 0;
-  };
-
-  // The edits of one row: a patch list over its base row, or — once
-  // `loose` — the row rewritten wholesale as ascending explicit column ids
-  // + masks, its base slots orphaned.
+  // One row's patch list, sorted by (column, ghosts first), as parallel
+  // column ids and entries. A ghost consumes one orphaned base slot of an
+  // erased column; a normal entry overrides its column (explicit with its
+  // mask, or implicit) and consumes a base slot iff the base row was built
+  // with one for that column.
   struct RowEdit {
     uint32_t row = 0;  // Back-reference for the pool's swap-remove.
-    bool loose = false;
-    std::vector<RowPatch> patches;  // Unless loose.
-    std::vector<uint32_t> cols;     // Loose only.
-    std::vector<uint16_t> masks;    // Loose only.
+    std::vector<uint32_t> cols;
+    std::vector<uint16_t> entries;
   };
+
+  // The entry a pair keeps after `change`, given its current entry `old`
+  // (0 when it has none): the base-slot flag stays the first patch's. 0
+  // when the pair needs no entry — implicit and owning no base slot.
+  static uint16_t PatchedEntry(uint16_t old, const PairEdit& change) {
+    const uint16_t base =
+        old != 0 ? old & kConsumesBase
+                 : (change.was_explicit != 0 ? kConsumesBase : uint16_t{0});
+    if (change.now_explicit == 0) return base;
+    return static_cast<uint16_t>(base | kExplicit | (change.mask & kMaskBits));
+  }
+  // The position of column `col`'s override in `edit`'s list, or where it
+  // would go: past the ghosts parked at `col`.
+  static size_t OverrideAt(const RowEdit& edit, uint32_t col) {
+    size_t at = static_cast<size_t>(
+        std::lower_bound(edit.cols.begin(), edit.cols.end(), col) -
+        edit.cols.begin());
+    while (at < edit.cols.size() && edit.cols[at] == col &&
+           (edit.entries[at] & kGhost) != 0) {
+      ++at;
+    }
+    return at;
+  }
 
   const RowEdit* FindEdit(size_t row) const {
     if (edit_slot_.empty() || edit_slot_[row] == kNoEdit) return nullptr;
@@ -414,11 +412,10 @@ class RelationStore {
   RowEdit& EditFor(size_t row);
   // Frees the pool record at `slot` (swap-remove).
   void DropEditAt(uint32_t slot);
-  // Heap bytes of one record's lists, and their sum over `edits`.
+  // Heap bytes of one record's list, and their sum over `edits`.
   static size_t HeapBytes(const RowEdit& edit) {
-    return edit.patches.capacity() * sizeof(RowPatch) +
-           edit.cols.capacity() * sizeof(uint32_t) +
-           edit.masks.capacity() * sizeof(uint16_t);
+    return edit.cols.capacity() * sizeof(uint32_t) +
+           edit.entries.capacity() * sizeof(uint16_t);
   }
   static size_t SumHeapBytes(const std::vector<RowEdit>& edits) {
     size_t total = 0;
@@ -460,8 +457,6 @@ class RelationStore {
   std::vector<RowEdit> edits_;
   // SumHeapBytes(edits_), kept current by every edit.
   size_t edit_heap_bytes_ = 0;
-  const std::array<CardinalRelation, kNumClassPairCodes>* relations_ =
-      &ClassPairRelations();
   MemCharge charge_;
 };
 

@@ -176,7 +176,6 @@ Result<RelationStore> SweepJoin(const std::vector<const Region*>& regions,
   std::vector<SweepScratch> scratch(static_cast<size_t>(threads));
   for (SweepScratch& ws : scratch) ws.bits.Reset(n);
   std::atomic<size_t> crossing_total{0};
-  std::atomic<size_t> candidates_total{0};
   std::atomic<size_t> emitted_total{0};
 
   // Pass 1 — count: explicit pairs per row, so the overlay can be
@@ -207,7 +206,6 @@ Result<RelationStore> SweepJoin(const std::vector<const Region*>& regions,
             });
             row_counts[i] = count;
           }
-          candidates_total.fetch_add(candidates, std::memory_order_relaxed);
           crossing_total.fetch_add(crossing, std::memory_order_relaxed);
           CARDIR_METRIC_COUNT("engine.sweep.candidates", candidates);
           CARDIR_METRIC_COUNT("engine.pairs.crossing", crossing);

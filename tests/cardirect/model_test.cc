@@ -119,6 +119,15 @@ TEST(ConfigurationTest, SetRelationsRejectsUnknownIdsAndRepeatedPairs) {
   EXPECT_EQ(repeated.code(), StatusCode::kParseError);
   EXPECT_NE(repeated.message().find("'a'"), std::string::npos) << repeated;
   EXPECT_NE(repeated.message().find("'b'"), std::string::npos) << repeated;
+  // A self pair and the empty relation save a document the reader rejects.
+  const Status self = config.SetRelations({{"a", "b", s}, {"b", "b", n}});
+  EXPECT_EQ(self.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(self.message().find("'b' reference='b'"), std::string::npos)
+      << self;
+  const Status empty = config.SetRelations({{"b", "a", CardinalRelation()}});
+  EXPECT_EQ(empty.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(empty.message().find("'b' reference='a'"), std::string::npos)
+      << empty;
   // A failed call changes nothing.
   EXPECT_NE(config.relation_store(), nullptr);
   ASSERT_TRUE(config.SetRelations({{"b", "a", n}, {"a", "b", s}}).ok());

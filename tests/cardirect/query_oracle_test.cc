@@ -7,9 +7,9 @@
 // class-pair code, then the sweep's resolution kernel for kCross pairs);
 // the states cover where the decider's box profile and polygon boxes come
 // from: uncomputed (built per query), computed (borrowed from the engine),
-// computed and then edited until the store holds both patched and loose
-// rows, and XML round-tripped (built per query; the <Relation> records are
-// not read). The inputs are generated maps (mostly box-decided pairs),
+// computed and then edited until the store holds patched rows, and XML
+// round-tripped (built per query; the <Relation> records are not read).
+// The inputs are generated maps (mostly box-decided pairs),
 // overlapping regions (mostly kCross pairs) and rectangles whose edges lie
 // on each other's lines (the inclusive boundary rule).
 
@@ -92,9 +92,9 @@ Configuration TouchingRectangles() {
   return config;
 }
 
-// Grows every 7th region by a rectangle past the canvas (its row is
-// rewritten loose, its partners' rows are patched), removes every 11th
-// (ghosts in the patch lists) and adds one region across the canvas.
+// Grows every 7th region by a rectangle past the canvas (its row and its
+// partners' rows are patched), removes every 11th (ghosts in the patch
+// lists) and adds one region across the canvas.
 void Edit(Configuration* config) {
   Box canvas;
   for (const AnnotatedRegion& r : config->regions()) {
@@ -255,12 +255,10 @@ void ExpectMatchesInEveryState(Configuration config, const std::string& label) {
   Edit(&config);
   const RelationStore& store = *config.relation_store();
   bool patched = false;
-  bool loose = false;
   for (size_t row = 0; row < store.regions(); ++row) {
-    patched |= store.row_state(row) == RelationStore::RowState::kPatched;
-    loose |= store.row_state(row) == RelationStore::RowState::kLoose;
+    patched |= store.patch_entries(row) != 0;
   }
-  ASSERT_TRUE(patched && loose) << label;
+  ASSERT_TRUE(patched) << label;
   const Decisions edited =
       ExpectMatchesBruteForce(config, label + " computed and edited");
 

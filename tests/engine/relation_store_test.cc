@@ -266,7 +266,7 @@ TEST(RelationStoreEdgeCases, ThreadCountAboveTheLimitIsReported) {
 }
 
 // ---- Mutation-layer shadow model. The store's mutation API (SetRegionBox
-// / AppendRegion / ReplaceRow / PatchPair / EraseRegion) accepts *any*
+// / AppendRegion / PatchRow / PatchPair / EraseRegion) accepts *any*
 // profiled box, so — unlike the DeltaEngine, whose inputs are validated
 // regions and therefore never degenerate — this harness drives degenerate
 // boxes in and out of the overlay directly. The shadow is authoritative:
@@ -353,73 +353,89 @@ Box RandomShadowBox(Rng* rng) {
   return Box(x, y, x + w, y + h);
 }
 
+// Writes the mutated row `id`'s changes, one per column of `cols`: in one
+// merge through PatchRow when `by_row`, else pair by pair through
+// PatchPair. The shadow checks the merge against the single-pair rule.
+void PatchShadowRow(RelationStore* store, size_t id,
+                    const std::vector<uint32_t>& cols,
+                    const std::vector<PairEdit>& changes, bool by_row) {
+  if (by_row) {
+    store->PatchRow(id, cols, changes);
+    return;
+  }
+  for (size_t k = 0; k < cols.size(); ++k) {
+    store->PatchPair(id, cols[k], changes[k]);
+  }
+}
+
 // Applies the caller side of the mutation contract for "region id's box
-// becomes `box`": sample old (j, id) explicitness, move the profile,
-// rewrite row id wholesale, patch column id everywhere it changed.
+// becomes `box`": sample old (id, j) and (j, id) explicitness, move the
+// profile, patch row id and column id everywhere they changed.
 void ApplyShadowSetBox(RelationStore* store, ShadowModel* shadow, size_t id,
-                       const Box& box, Rng* rng) {
+                       const Box& box, Rng* rng, bool by_row) {
   const size_t n = shadow->boxes.size();
-  std::vector<uint8_t> was(n, 0);
+  std::vector<uint32_t> cols;
+  std::vector<PairEdit> row;
+  std::vector<uint8_t> was_column(n, 0);
   for (size_t j = 0; j < n; ++j) {
-    if (j != id && shadow->Explicit(j, id)) was[j] = 1;
+    if (j == id) continue;
+    cols.push_back(static_cast<uint32_t>(j));
+    row.push_back({shadow->Explicit(id, j) ? uint8_t{1} : uint8_t{0}, 0, 0});
+    was_column[j] = shadow->Explicit(j, id) ? 1 : 0;
   }
   shadow->SetBox(id, box);
   store->SetRegionBox(id, box);
-  std::vector<uint32_t> cols;
-  std::vector<uint16_t> row_masks;
-  for (size_t j = 0; j < n; ++j) {
-    if (j == id) continue;
+  for (size_t k = 0; k < cols.size(); ++k) {
+    const size_t j = cols[k];
     if (shadow->Explicit(id, j)) {
-      const uint16_t mask = RandomMask(rng);
-      shadow->masks[{id, j}] = mask;
-      cols.push_back(static_cast<uint32_t>(j));
-      row_masks.push_back(mask);
+      row[k].now_explicit = 1;
+      row[k].mask = RandomMask(rng);
+      shadow->masks[{id, j}] = row[k].mask;
     } else {
       shadow->masks.erase({id, j});
     }
     if (shadow->Explicit(j, id)) {
       const uint16_t mask = RandomMask(rng);
       shadow->masks[{j, id}] = mask;
-      store->PatchPair(j, id, was[j] != 0, true, mask);
+      store->PatchPair(j, id, {was_column[j], 1, mask});
     } else {
       shadow->masks.erase({j, id});
-      if (was[j] != 0) store->PatchPair(j, id, true, false, 0);
+      if (was_column[j] != 0) store->PatchPair(j, id, {1, 0, 0});
     }
-    store->MaybeCompactRow(j);
   }
-  store->ReplaceRow(id, std::move(cols), std::move(row_masks));
+  PatchShadowRow(store, id, cols, row, by_row);
 }
 
 void ApplyShadowAppend(RelationStore* store, ShadowModel* shadow,
-                       const Box& box, Rng* rng) {
+                       const Box& box, Rng* rng, bool by_row) {
   const size_t id = shadow->boxes.size();
   shadow->boxes.push_back({});
   shadow->SetBox(id, box);
   store->AppendRegion(box);
   std::vector<uint32_t> cols;
-  std::vector<uint16_t> row_masks;
+  std::vector<PairEdit> row;
   for (size_t j = 0; j < id; ++j) {
+    cols.push_back(static_cast<uint32_t>(j));
+    row.emplace_back();  // The new row has no base slots.
     if (shadow->Explicit(id, j)) {
-      const uint16_t mask = RandomMask(rng);
-      shadow->masks[{id, j}] = mask;
-      cols.push_back(static_cast<uint32_t>(j));
-      row_masks.push_back(mask);
+      row.back().now_explicit = 1;
+      row.back().mask = RandomMask(rng);
+      shadow->masks[{id, j}] = row.back().mask;
     }
     if (shadow->Explicit(j, id)) {
       const uint16_t mask = RandomMask(rng);
       shadow->masks[{j, id}] = mask;
-      store->PatchPair(j, id, false, true, mask);  // Column postdates base.
+      store->PatchPair(j, id, {0, 1, mask});  // Column postdates base.
     }
-    store->MaybeCompactRow(j);
   }
-  store->ReplaceRow(id, std::move(cols), std::move(row_masks));
+  PatchShadowRow(store, id, cols, row, by_row);
 }
 
 void ApplyShadowErase(RelationStore* store, ShadowModel* shadow, size_t id) {
   const size_t n = shadow->boxes.size();
   for (size_t j = 0; j < n; ++j) {
     if (j != id && shadow->Explicit(j, id)) {
-      store->PatchPair(j, id, true, false, 0);  // EraseRegion precondition.
+      store->PatchPair(j, id, {1, 0, 0});  // EraseRegion precondition.
     }
   }
   store->EraseRegion(id);
@@ -435,9 +451,12 @@ void ApplyShadowErase(RelationStore* store, ShadowModel* shadow, size_t id) {
 }
 
 // Randomized scripts over the raw mutation API, degenerate boxes included.
+// The mutated row goes through PatchRow on even seeds and pair by pair
+// through PatchPair on odd ones.
 TEST(RelationStoreMutation, ShadowModelScriptsWithDegenerateBoxes) {
   for (uint64_t seed = 0; seed < 60; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
+    const bool by_row = seed % 2 == 0;
     Rng rng(0x5AD0u + seed);
     const int n = 4 + static_cast<int>(rng.NextBelow(10));
     const std::vector<Region> regions = SmallOverlapRegions(&rng, n);
@@ -460,25 +479,25 @@ TEST(RelationStoreMutation, ShadowModelScriptsWithDegenerateBoxes) {
       SCOPED_TRACE("mutation " + std::to_string(m));
       const uint64_t kind = rng.NextBelow(5);
       if (kind == 0 || shadow.boxes.size() < 3) {
-        ApplyShadowAppend(&store, &shadow, RandomShadowBox(&rng), &rng);
+        ApplyShadowAppend(&store, &shadow, RandomShadowBox(&rng), &rng,
+                          by_row);
       } else if (kind == 4) {
         ApplyShadowErase(&store, &shadow, rng.NextBelow(shadow.boxes.size()));
       } else {
         ApplyShadowSetBox(&store, &shadow, rng.NextBelow(shadow.boxes.size()),
-                          RandomShadowBox(&rng), &rng);
+                          RandomShadowBox(&rng), &rng, by_row);
       }
       ExpectMatchesShadow(store, shadow);
     }
   }
 }
 
-// Compaction path: enough columns mutate that rows outgrow the
-// kCompactPatches=64 patch-list threshold and convert to loose rows; the
-// script then keeps mutating so the loose-row edit paths (in-place
-// PatchPair, EraseRegion renumbering) are exercised too, and finally
-// erases the first, the last and a middle id with patched and loose rows
-// on every side of it. The arena charge must equal bytes() at every step.
-TEST(RelationStoreMutation, PatchListsCompactAndStayCorrect) {
+// Long patch lists: enough columns mutate that rows' patch lists pass 64
+// entries, and the erasures leave ghosts of the base slots of erased
+// columns. The script finally erases the first, the last and a middle id
+// with patched rows on both sides of it. The arena charge must equal
+// bytes() at every step, and a copy must charge its own footprint.
+TEST(RelationStoreMutation, LongPatchListsStayCorrect) {
 #ifdef CARDIR_OBS_ENABLED
   obs::MemArena& arena = obs::MemArena::Get("relation_store");
   const int64_t live_before = arena.LiveBytes();
@@ -506,25 +525,28 @@ TEST(RelationStoreMutation, PatchListsCompactAndStayCorrect) {
     if (store.IsExplicit(i, j)) shadow.masks[{i, j}] = relation.mask();
   });
 
+  size_t longest = 0;
   for (int m = 0; m < 120; ++m) {
     const uint64_t kind = rng.NextBelow(8);
     if (kind == 7) {
       ApplyShadowErase(&store, &shadow, rng.NextBelow(shadow.boxes.size()));
     } else {
       // Mostly box moves over a shared canvas: nearly every row's column
-      // set churns, so patch lists grow past the compaction threshold.
+      // set churns, so patch lists grow long.
       ApplyShadowSetBox(&store, &shadow, rng.NextBelow(shadow.boxes.size()),
-                        RandomShadowBox(&rng), &rng);
+                        RandomShadowBox(&rng), &rng, /*by_row=*/true);
     }
     expect_exact_charge();
+    for (size_t r = 0; r < shadow.boxes.size(); ++r) {
+      longest = std::max(longest, store.patch_entries(r));
+    }
   }
-  EXPECT_GT(store.edited_rows(), 0u);
+  EXPECT_GT(longest, 64u);
   ExpectMatchesShadow(store, shadow);
 
-  const auto has_row = [&store](size_t from, size_t to,
-                                RelationStore::RowState state) {
+  const auto has_patched_row = [&store](size_t from, size_t to) {
     for (size_t r = from; r < to; ++r) {
-      if (store.row_state(r) == state) return true;
+      if (store.patch_entries(r) != 0) return true;
     }
     return false;
   };
@@ -534,14 +556,11 @@ TEST(RelationStoreMutation, PatchListsCompactAndStayCorrect) {
     const size_t id = where == "first" ? 0
                       : where == "last" ? count - 1
                                         : count / 2;
-    for (const RelationStore::RowState state :
-         {RelationStore::RowState::kPatched, RelationStore::RowState::kLoose}) {
-      if (id > 0) {
-        ASSERT_TRUE(has_row(0, id, state));
-      }
-      if (id + 1 < count) {
-        ASSERT_TRUE(has_row(id + 1, count, state));
-      }
+    if (id > 0) {
+      ASSERT_TRUE(has_patched_row(0, id));
+    }
+    if (id + 1 < count) {
+      ASSERT_TRUE(has_patched_row(id + 1, count));
     }
     ApplyShadowErase(&store, &shadow, id);
     ExpectMatchesShadow(store, shadow);

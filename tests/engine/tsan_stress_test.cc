@@ -245,8 +245,8 @@ TEST(TsanStressTest, ConcurrentReadersOfOneConfiguration) {
   Result<Configuration> generated = GenerateMapConfiguration(&rng, options);
   ASSERT_TRUE(generated.ok()) << generated.status();
   Configuration& config = *generated;
-  // Grown regions cross many reference lines (loose rows, patched
-  // partners); the removal leaves ghosts.
+  // Grown regions cross many reference lines (their rows and their
+  // partners' rows are patched); the removal leaves ghosts.
   int grown = 0;
   for (const char* id : {"region3", "region10", "region17", "region24"}) {
     const double off = 1100.0 + 40.0 * grown++;

@@ -288,14 +288,16 @@ TEST(XmlWriterMaskTest, EveryNonEmptyMaskSurvivesSaveAndLoad) {
     EXPECT_EQ(loaded->relations()[k].relation, records[k].relation);
   }
 
-  // The 512th mask, the empty accumulator, is written "(empty)", and the
-  // reader rejects it: no stated relation is empty (Definition 1).
-  ASSERT_TRUE(config.SetRelations({{"m0", "m1", CardinalRelation()}}).ok());
-  const std::string empty = ConfigurationToXml(config);
-  EXPECT_EQ(empty, ReferenceXml(config));
-  EXPECT_NE(empty.find("type=\"(empty)\""), std::string::npos);
-  EXPECT_EQ(ConfigurationFromXml(empty).status().code(),
-            StatusCode::kParseError);
+  // The 512th mask, the empty accumulator, is no stated relation
+  // (Definition 1): SetRelations refuses it and keeps the 511 records.
+  EXPECT_EQ(config.SetRelations({{"m0", "m1", CardinalRelation()}}).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_EQ(config.relations().size(), records.size());
+  for (size_t k = 0; k < records.size(); ++k) {
+    EXPECT_EQ(config.relations()[k].primary_id, records[k].primary_id);
+    EXPECT_EQ(config.relations()[k].reference_id, records[k].reference_id);
+    EXPECT_EQ(config.relations()[k].relation, records[k].relation);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XmlWriterOracleTest,
