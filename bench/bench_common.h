@@ -41,8 +41,8 @@ class ObsWindow {
   }
 
   /// Counter increments since construction (by full metric name; 0 when the
-  /// counter does not exist, e.g. in a -DCARDIR_OBS=OFF build). Also
-  /// samples process RSS so mem.process.* gauges are fresh in the result.
+  /// counter does not exist). Also samples process RSS so mem.process.*
+  /// gauges are fresh in the result.
   obs::MetricsSnapshot Delta() const {
     obs::SampleProcessMemory();
     return obs::CaptureMetrics().Diff(before_);

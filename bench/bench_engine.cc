@@ -122,8 +122,7 @@ struct RunRecord {
   size_t pairs = 0;
   size_t prefiltered_pairs = 0;
   size_t crossing_pairs = 0;
-  // Observability counters over this run's window (zero when the binary was
-  // built with -DCARDIR_OBS=OFF).
+  // Observability counters over this run's window.
   double pairs_per_sec = 0;
   double prefilter_hit_rate = 0;
   uint64_t edges_input = 0;
@@ -135,7 +134,7 @@ struct RunRecord {
   uint64_t delta_pairs_implicit = 0;
   // Memory telemetry (obs/memstats.h): per-arena high-water bytes within
   // this run's window (ObsWindow resets peaks at window start) plus the
-  // process RSS sampled at window close. All zero under -DCARDIR_OBS=OFF.
+  // process RSS sampled at window close.
   int64_t mem_edge_soa_peak_bytes = 0;
   int64_t mem_relation_store_peak_bytes = 0;
   int64_t mem_total_peak_bytes = 0;

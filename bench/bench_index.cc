@@ -4,8 +4,7 @@
 // the two bounding boxes when they allow it and refines the rest (kCross
 // pairs) with the sweep's resolution kernel: the one-axis shortcut, or
 // Compute-CDR when both axes cross. The "refined" counter is the number of
-// kCross pairs per query, read from the index.query.refined metric (so 0 in
-// a -DCARDIR_OBS=OFF build).
+// kCross pairs per query, read from the index.query.refined metric.
 
 #include <benchmark/benchmark.h>
 

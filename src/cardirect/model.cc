@@ -162,7 +162,12 @@ Status Configuration::SetRelations(std::vector<RelationRecord> relations) {
     const size_t primary = PositionOf(record.primary_id);
     const size_t reference = PositionOf(record.reference_id);
     if (primary == regions_.size() || reference == regions_.size()) {
-      return Status::NotFound("relation names an unknown region id");
+      return Status::NotFound(
+          "relation primary='" + record.primary_id + "' reference='" +
+          record.reference_id + "' names the unknown region id '" +
+          (primary == regions_.size() ? record.primary_id
+                                      : record.reference_id) +
+          "'");
     }
     if (primary == reference || record.relation.IsEmpty()) {
       return Status::InvalidArgument(

@@ -487,15 +487,10 @@ int RunCardirectTool(const std::vector<std::string>& args, std::ostream& out,
   }
 
   if (!flight_record_path.empty()) {
-#ifdef CARDIR_OBS_ENABLED
     // Crash handlers + the log tail go in before the command so the ring
     // holds the run's own history; the clean-exit dump happens below.
     obs::InstallCrashDump(flight_record_path.c_str());
     obs::CaptureLogTail();
-#else
-    return Fail(err, Status::Unimplemented(
-                         "--flight-record requires a build with CARDIR_OBS=ON"));
-#endif
   }
   if (!profile_path.empty()) {
     obs::ProfileOptions profile_options;

@@ -8,7 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -76,7 +76,7 @@ class ConfigurationReader {
     if (!AtEnd()) return Error("trailing content after root element");
     Status status = configuration_.SetRelations(std::move(records_));
     if (status.code() == StatusCode::kNotFound) {
-      return Status::ParseError("<Relation> references unknown region id");
+      return Status::ParseError(status.message());
     }
     CARDIR_RETURN_IF_ERROR(status);
     return std::move(configuration_);
@@ -181,12 +181,15 @@ class ConfigurationReader {
         if (entity == name) decoded = c;
       }
       if (!entity.empty() && entity[0] == '#') {
-        // Numeric character reference; ASCII only in this subset.
-        const bool hex =
-            entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X');
-        const long code = std::strtol(entity.c_str() + (hex ? 2 : 1),
-                                      nullptr, hex ? 16 : 10);
-        if (code <= 0 || code > 127) {
+        // Numeric character reference, `&#digits;` or `&#xhex;`; ASCII
+        // only in this subset.
+        const bool hex = entity.size() > 1 && entity[1] == 'x';
+        const char* digits = entity.data() + (hex ? 2 : 1);
+        const char* end = entity.data() + entity.size();
+        unsigned code = 0;
+        const auto [stop, error] =
+            std::from_chars(digits, end, code, hex ? 16 : 10);
+        if (error != std::errc() || stop != end || code == 0 || code > 127) {
           return Error(StrFormat("unsupported character reference: &%s;",
                                  entity.c_str()));
         }
@@ -218,8 +221,14 @@ class ConfigurationReader {
       return Error("unterminated attribute value");
     }
     pos_ = end;
-    CARDIR_RETURN_IF_ERROR(
-        DecodeEntities(input_.substr(start, end - start), value));
+    const std::string_view raw = input_.substr(start, end - start);
+    if (raw.find('&') == std::string_view::npos) {
+      // Most values hold no entity; copying them here keeps the common
+      // case free of DecodeEntities's call.
+      value->assign(raw);
+    } else {
+      CARDIR_RETURN_IF_ERROR(DecodeEntities(raw, value));
+    }
     ++pos_;  // Closing quote.
     return Status::Ok();
   }

@@ -142,8 +142,8 @@ void RelationStore::PatchPair(size_t row, size_t col,
 
 void RelationStore::PatchRow(size_t row, const std::vector<uint32_t>& cols,
                              const std::vector<PairEdit>& changes) {
-  assert(cols.size() == changes.size());
-  assert(std::is_sorted(cols.begin(), cols.end()));
+  CARDIR_DCHECK(cols.size() == changes.size());
+  CARDIR_DCHECK(std::is_sorted(cols.begin(), cols.end()));
   const RowEdit* edit = FindEdit(row);
   const size_t size = edit != nullptr ? edit->cols.size() : 0;
   // One merge of the list with `cols`: entries of other columns (ghosts

@@ -54,7 +54,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -64,6 +63,7 @@
 #include "engine/interval_kernel.h"
 #include "geometry/region.h"
 #include "obs/memstats.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace cardir {
@@ -243,7 +243,8 @@ class RelationStore {
           fn(j, CardinalRelation::FromMask(overlay[cursor++]));
         }
       }
-      assert(cursor == row_offsets_[primary + 1] - row_offsets_[primary]);
+      CARDIR_DCHECK(cursor ==
+                    row_offsets_[primary + 1] - row_offsets_[primary]);
       return;
     }
     // Patched row: merge the base walk with the sorted patch list. Ghosts

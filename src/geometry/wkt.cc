@@ -19,6 +19,8 @@ std::string FormatCoordinate(double value) {
 
 class WktParser {
  public:
+  // Copies the view: strtod reads to a NUL or a non-number character, and
+  // a view need not end at one.
   explicit WktParser(std::string_view input) : input_(input) {}
 
   Result<Region> Parse() {
@@ -157,7 +159,7 @@ class WktParser {
     return Status::Ok();
   }
 
-  std::string_view input_;
+  const std::string input_;
   size_t pos_ = 0;
 };
 

@@ -6,8 +6,8 @@
 // caller controls the observation window; none of them touch the live
 // registry.
 
-#ifndef CARDIR_OBS_EXPORT_H_
-#define CARDIR_OBS_EXPORT_H_
+#ifndef CARDIR_SRC_OBS_EXPORT_H_
+#define CARDIR_SRC_OBS_EXPORT_H_
 
 #include <string>
 
@@ -53,4 +53,4 @@ std::string FormatMetricsPrometheus(const MetricsSnapshot& snapshot);
 }  // namespace obs
 }  // namespace cardir
 
-#endif  // CARDIR_OBS_EXPORT_H_
+#endif  // CARDIR_SRC_OBS_EXPORT_H_

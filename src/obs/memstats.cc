@@ -1,7 +1,5 @@
 #include "obs/memstats.h"
 
-#ifdef CARDIR_OBS_ENABLED
-
 #include <unistd.h>
 
 #include <cstdio>
@@ -103,5 +101,3 @@ void SampleProcessMemory() {
 
 }  // namespace obs
 }  // namespace cardir
-
-#endif  // CARDIR_OBS_ENABLED

@@ -1,7 +1,7 @@
 // Memory telemetry: live/peak byte gauges for the structures that own
 // real memory (the relation store, EdgeSoA lanes, sweep scratch, the delta
-// engine, the R-tree, XML buffers), plus a process-wide high-water total
-// and Linux RSS sampling.
+// engine, XML buffers), plus a process-wide high-water total and Linux RSS
+// sampling.
 //
 // Each instrumented owner charges a named arena. An arena is backed by two
 // registry gauges —
@@ -14,11 +14,9 @@
 // Cost model: an alloc/free is one relaxed fetch_add on the arena's live
 // gauge, one on the total, and a CAS-max on each peak — charged at arena
 // granularity (one call per container (re)allocation, never per element).
-// Under -DCARDIR_OBS=OFF the macros keep their arguments parsed but
-// evaluate nothing.
 
-#ifndef CARDIR_OBS_MEMSTATS_H_
-#define CARDIR_OBS_MEMSTATS_H_
+#ifndef CARDIR_SRC_OBS_MEMSTATS_H_
+#define CARDIR_SRC_OBS_MEMSTATS_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -27,8 +25,6 @@
 
 namespace cardir {
 namespace obs {
-
-#ifdef CARDIR_OBS_ENABLED
 
 /// One named allocation domain. Get() is mutex-guarded get-or-create
 /// (call sites cache the reference via the CARDIR_MEMSTAT_* macros);
@@ -64,20 +60,10 @@ int64_t ReadRssBytes();
 /// mem.process.rss_peak_bytes. No-op when /proc is unavailable.
 void SampleProcessMemory();
 
-#else  // !CARDIR_OBS_ENABLED
-
-inline void ResetMemPeaks() {}
-inline int64_t ReadRssBytes() { return -1; }
-inline void SampleProcessMemory() {}
-
-#endif  // CARDIR_OBS_ENABLED
-
 }  // namespace obs
 
 // Instrumentation macros. `arena` must be a string literal; `bytes` must be
 // side-effect free (tools/analyzer enforces this).
-#ifdef CARDIR_OBS_ENABLED
-
 #define CARDIR_MEMSTAT_ALLOC(arena, bytes)                      \
   do {                                                          \
     static ::cardir::obs::MemArena& cardir_memstat_arena__ =    \
@@ -92,21 +78,6 @@ inline void SampleProcessMemory() {}
     cardir_memstat_arena__.Free(static_cast<size_t>(bytes));    \
   } while (false)
 
-#else
-
-#define CARDIR_MEMSTAT_ALLOC(arena, bytes) \
-  do {                                     \
-    (void)sizeof(arena);                   \
-    (void)sizeof(bytes);                   \
-  } while (false)
-#define CARDIR_MEMSTAT_FREE(arena, bytes) \
-  do {                                    \
-    (void)sizeof(arena);                  \
-    (void)sizeof(bytes);                  \
-  } while (false)
-
-#endif  // CARDIR_OBS_ENABLED
-
 }  // namespace cardir
 
-#endif  // CARDIR_OBS_MEMSTATS_H_
+#endif  // CARDIR_SRC_OBS_MEMSTATS_H_

@@ -15,13 +15,9 @@
 // are linearisable only against a quiescent writer set, which is what the
 // snapshot/diff workflow wants: snapshot, run the workload to completion,
 // snapshot again, diff.
-//
-// Counters compile to no-ops under -DCARDIR_OBS=OFF (the macros expand to
-// nothing) so the uninstrumented build remains available as an overhead
-// baseline; the registry itself always builds.
 
-#ifndef CARDIR_OBS_METRICS_H_
-#define CARDIR_OBS_METRICS_H_
+#ifndef CARDIR_SRC_OBS_METRICS_H_
+#define CARDIR_SRC_OBS_METRICS_H_
 
 #include <array>
 #include <atomic>
@@ -32,13 +28,6 @@
 #include <vector>
 
 namespace cardir {
-
-#ifdef CARDIR_OBS_ENABLED
-inline constexpr bool kObsEnabled = true;
-#else
-inline constexpr bool kObsEnabled = false;
-#endif
-
 namespace obs {
 
 /// Number of per-metric shards. Power of two; threads hash onto shards with
@@ -197,10 +186,8 @@ MetricsSnapshot CaptureMetrics();
 }  // namespace obs
 
 // Instrumentation macros. Each call site resolves its metric once (static
-// local) and compiles to nothing under -DCARDIR_OBS=OFF. `name` must be a
-// string literal (or otherwise immortal) — the registry keys on it once.
-#ifdef CARDIR_OBS_ENABLED
-
+// local). `name` must be a string literal (or otherwise immortal) — the
+// registry keys on it once.
 #define CARDIR_METRIC_COUNT(name, delta)                              \
   do {                                                                \
     static ::cardir::obs::Counter& cardir_metric_counter__ =          \
@@ -222,28 +209,6 @@ MetricsSnapshot CaptureMetrics();
     cardir_metric_histogram__.Observe(static_cast<uint64_t>(value));  \
   } while (false)
 
-#else
-
-// sizeof keeps the arguments parsed (bit-rot caught at compile time)
-// without evaluating them, mirroring CARDIR_AUDIT's disabled form.
-#define CARDIR_METRIC_COUNT(name, delta) \
-  do {                                   \
-    (void)sizeof(name);                  \
-    (void)sizeof(delta);                 \
-  } while (false)
-#define CARDIR_METRIC_GAUGE_SET(name, value) \
-  do {                                       \
-    (void)sizeof(name);                      \
-    (void)sizeof(value);                     \
-  } while (false)
-#define CARDIR_METRIC_OBSERVE(name, value) \
-  do {                                     \
-    (void)sizeof(name);                    \
-    (void)sizeof(value);                   \
-  } while (false)
-
-#endif  // CARDIR_OBS_ENABLED
-
 }  // namespace cardir
 
-#endif  // CARDIR_OBS_METRICS_H_
+#endif  // CARDIR_SRC_OBS_METRICS_H_

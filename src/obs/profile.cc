@@ -1,7 +1,5 @@
 #include "obs/profile.h"
 
-#ifdef CARDIR_OBS_ENABLED
-
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -173,5 +171,3 @@ Status WriteCollapsedProfile(const std::string& path) {
 
 }  // namespace obs
 }  // namespace cardir
-
-#endif  // CARDIR_OBS_ENABLED

@@ -12,10 +12,10 @@
 //     ("frame;frame;frame <count>" lines), via `cardirect --profile=FILE`.
 //
 // Only one profiling session runs at a time; Start while running returns
-// FailedPrecondition. Compiles to no-ops under -DCARDIR_OBS=OFF.
+// FailedPrecondition.
 
-#ifndef CARDIR_OBS_PROFILE_H_
-#define CARDIR_OBS_PROFILE_H_
+#ifndef CARDIR_SRC_OBS_PROFILE_H_
+#define CARDIR_SRC_OBS_PROFILE_H_
 
 #include <cstdint>
 #include <string>
@@ -40,8 +40,6 @@ struct ProfileStats {
   uint64_t samples_taken = 0;    // Timer wakeups.
   uint64_t samples_with_work = 0;  // Wakeups that saw >=1 open span.
 };
-
-#ifdef CARDIR_OBS_ENABLED
 
 /// Starts the sampling thread and enables span shadow stacks. Clears any
 /// previously collected profile.
@@ -71,36 +69,13 @@ ProfileStats GetProfileStats();
 /// Writes FormatCollapsedStacks() to `path`.
 Status WriteCollapsedProfile(const std::string& path);
 
-#else  // !CARDIR_OBS_ENABLED
-
-inline Status StartProfiling(const ProfileOptions& = {}) {
-  return Status::Unimplemented("profiler disabled (CARDIR_OBS=OFF)");
-}
-inline bool ProfilingActive() { return false; }
-inline void StopProfiling() {}
-inline std::string FormatCollapsedStacks() { return std::string(); }
-inline std::string FormatProfileSummary() { return std::string(); }
-inline ProfileStats GetProfileStats() { return ProfileStats(); }
-inline Status WriteCollapsedProfile(const std::string&) {
-  return Status::Unimplemented("profiler disabled (CARDIR_OBS=OFF)");
-}
-
-#endif  // CARDIR_OBS_ENABLED
-
 }  // namespace obs
 
 // A profiling frame on the hot path: same RAII span as CARDIR_TRACE_SPAN
 // (and it shows up in Chrome traces too), but named separately so grep
 // finds the sites placed for profile granularity rather than tracing.
-#ifdef CARDIR_OBS_ENABLED
 #define CARDIR_PROFILE_FRAME(name) CARDIR_TRACE_SPAN(name)
-#else
-#define CARDIR_PROFILE_FRAME(name) \
-  do {                             \
-    (void)sizeof(name);            \
-  } while (false)
-#endif  // CARDIR_OBS_ENABLED
 
 }  // namespace cardir
 
-#endif  // CARDIR_OBS_PROFILE_H_
+#endif  // CARDIR_SRC_OBS_PROFILE_H_

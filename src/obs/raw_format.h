@@ -9,8 +9,8 @@
 // All functions silently truncate at the buffer capacity and return the
 // new length; a truncated dump is still parseable line-by-line.
 
-#ifndef CARDIR_OBS_RAW_FORMAT_H_
-#define CARDIR_OBS_RAW_FORMAT_H_
+#ifndef CARDIR_SRC_OBS_RAW_FORMAT_H_
+#define CARDIR_SRC_OBS_RAW_FORMAT_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -72,4 +72,4 @@ inline size_t AppendSanitised(char* buf, size_t len, size_t cap,
 }  // namespace obs
 }  // namespace cardir
 
-#endif  // CARDIR_OBS_RAW_FORMAT_H_
+#endif  // CARDIR_SRC_OBS_RAW_FORMAT_H_

@@ -1,7 +1,5 @@
 #include "obs/recorder.h"
 
-#ifdef CARDIR_OBS_ENABLED
-
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -218,5 +216,3 @@ void CaptureLogTail() { SetLogLineHook(&LogTailHook); }
 
 }  // namespace obs
 }  // namespace cardir
-
-#endif  // CARDIR_OBS_ENABLED

@@ -22,11 +22,10 @@
 //     malloc, no stdio, no locks except MetricsRegistry::TryDumpRaw's
 //     try_lock (skipped on contention).
 //
-// Recording is runtime-gated (one relaxed load when disabled) and the
-// whole facility compiles to no-ops under -DCARDIR_OBS=OFF.
+// Recording is runtime-gated (one relaxed load when disabled).
 
-#ifndef CARDIR_OBS_RECORDER_H_
-#define CARDIR_OBS_RECORDER_H_
+#ifndef CARDIR_SRC_OBS_RECORDER_H_
+#define CARDIR_SRC_OBS_RECORDER_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -57,8 +56,6 @@ struct RecorderEvent {
   uint64_t b = 0;
   char label[40] = {};  // NUL-terminated, truncated.
 };
-
-#ifdef CARDIR_OBS_ENABLED
 
 /// Events retained per thread (power of two; the ring keeps the newest).
 inline constexpr size_t kRingCapacity = 1024;
@@ -101,28 +98,11 @@ void InstallCrashDump(const char* path);
 /// lands in the ring as kLog events. Idempotent.
 void CaptureLogTail();
 
-#else  // !CARDIR_OBS_ENABLED
-
-inline void EnableFlightRecorder(bool) {}
-inline bool FlightRecorderEnabled() { return false; }
-inline void RecordEvent(RecordKind, const char*, uint64_t, uint64_t) {}
-inline uint64_t ThisThreadRecordedCount() { return 0; }
-inline size_t FormatRecordLine(const RecorderEvent&, char*, size_t) {
-  return 0;
-}
-inline size_t DumpFlightRecord(int) { return 0; }
-inline bool DumpFlightRecordToPath(const char*) { return false; }
-inline void InstallCrashDump(const char*) {}
-inline void CaptureLogTail() {}
-
-#endif  // CARDIR_OBS_ENABLED
-
 }  // namespace obs
 
 // Instrumentation macro: one relaxed load + branch when the recorder is
-// off, nothing at all under -DCARDIR_OBS=OFF. Arguments must be free of
-// side effects (enforced by tools/analyzer's obs-macro-side-effect check).
-#ifdef CARDIR_OBS_ENABLED
+// off. Arguments must be free of side effects (enforced by tools/analyzer's
+// obs-macro-side-effect check).
 #define CARDIR_RECORD_EVENT(kind, label, a, b)                       \
   do {                                                               \
     if (::cardir::obs::FlightRecorderEnabled()) {                    \
@@ -131,15 +111,7 @@ inline void CaptureLogTail() {}
                                  static_cast<uint64_t>(b));          \
     }                                                                \
   } while (false)
-#else
-#define CARDIR_RECORD_EVENT(kind, label, a, b) \
-  do {                                         \
-    (void)sizeof(label);                       \
-    (void)sizeof(a);                           \
-    (void)sizeof(b);                           \
-  } while (false)
-#endif  // CARDIR_OBS_ENABLED
 
 }  // namespace cardir
 
-#endif  // CARDIR_OBS_RECORDER_H_
+#endif  // CARDIR_SRC_OBS_RECORDER_H_

@@ -11,8 +11,6 @@
 namespace cardir {
 namespace obs {
 
-#ifdef CARDIR_OBS_ENABLED
-
 namespace {
 
 // Per-thread event sink. Buffers are leaked on thread exit so the collector
@@ -237,14 +235,6 @@ TraceSpan::~TraceSpan() {
   std::lock_guard<std::mutex> lock(buffer.mutex);
   buffer.events.push_back(event);
 }
-
-#else  // !CARDIR_OBS_ENABLED
-
-void WriteChromeTrace(std::ostream& out) {
-  out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n]}\n";
-}
-
-#endif  // CARDIR_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace cardir

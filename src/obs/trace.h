@@ -13,12 +13,9 @@
 // mutex — uncontended in steady state, so the hot path never blocks on a
 // global lock, and the collector can safely walk all buffers while worker
 // threads are still alive.
-//
-// The whole facility compiles out under -DCARDIR_OBS=OFF: the macro expands
-// to nothing and the functions become inline no-ops.
 
-#ifndef CARDIR_OBS_TRACE_H_
-#define CARDIR_OBS_TRACE_H_
+#ifndef CARDIR_SRC_OBS_TRACE_H_
+#define CARDIR_SRC_OBS_TRACE_H_
 
 #include <cstdint>
 #include <iosfwd>
@@ -39,8 +36,6 @@ struct TraceEvent {
   uint32_t tid = 0;
   uint32_t depth = 0;
 };
-
-#ifdef CARDIR_OBS_ENABLED
 
 /// Starts recording spans (clears previously collected events).
 void StartTracing();
@@ -109,31 +104,7 @@ class TraceSpan {
   ::cardir::obs::TraceSpan CARDIR_TRACE_SPAN_CONCAT(\
       cardir_trace_span_, __COUNTER__)(name)
 
-#else  // !CARDIR_OBS_ENABLED
-
-struct SpanStackSample {
-  uint32_t tid = 0;
-  std::vector<const char*> frames;
-};
-
-inline void StartTracing() {}
-inline void StopTracing() {}
-inline bool TracingEnabled() { return false; }
-inline std::vector<TraceEvent> CollectTraceEvents() { return {}; }
-void WriteChromeTrace(std::ostream& out);  // Writes an empty trace.
-inline uint64_t TraceNowMicros() { return 0; }
-inline void EnableSpanStacks(bool) {}
-inline bool SpanStacksEnabled() { return false; }
-inline std::vector<SpanStackSample> SampleSpanStacks() { return {}; }
-
-#define CARDIR_TRACE_SPAN(name) \
-  do {                          \
-    (void)sizeof(name);         \
-  } while (false)
-
-#endif  // CARDIR_OBS_ENABLED
-
 }  // namespace obs
 }  // namespace cardir
 
-#endif  // CARDIR_OBS_TRACE_H_
+#endif  // CARDIR_SRC_OBS_TRACE_H_

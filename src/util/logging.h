@@ -3,6 +3,10 @@
 // CARDIR_CHECK(cond) aborts (with file/line and the failed expression) when
 // `cond` is false; it is reserved for programming errors, never for
 // data-dependent failures (those return Status, see util/status.h).
+// CARDIR_DCHECK(cond) is CARDIR_CHECK(cond) in the audit build
+// (-DCARDIR_AUDIT=ON, which the sanitizer presets use) and in every build
+// without NDEBUG; in the others (Release) `cond` and any streamed message
+// are parsed but never evaluated.
 // CARDIR_LOG(level) << ... emits a line to stderr when `level` is at or above
 // the global threshold (default kWarning; configurable via SetLogLevel or the
 // CARDIR_LOG_LEVEL environment variable: debug|info|warning|error).
@@ -125,7 +129,12 @@ struct Voidify {
         << cardir_check_status__.ToString();                           \
   } while (false)
 
+#if defined(CARDIR_AUDIT_ENABLED) || !defined(NDEBUG)
 #define CARDIR_DCHECK(condition) CARDIR_CHECK(condition)
+#else
+#define CARDIR_DCHECK(condition) \
+  while (false) CARDIR_CHECK(condition)
+#endif
 
 }  // namespace cardir
 

@@ -10,6 +10,7 @@ void Good(int n, bool strict) {
   CARDIR_RECORD_EVENT(kChunk, "classify", n, n - 1);  // Pure arguments.
   CARDIR_MEMSTAT_FREE("scratch", n * 2);              // * is not *=.
   CARDIR_PROFILE_FRAME("cdr.compute");
+  CARDIR_DCHECK(n >= 0 && strict != same);            // >= and != compare.
 }
 
 }  // namespace cardir

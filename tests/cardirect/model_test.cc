@@ -112,8 +112,14 @@ TEST(ConfigurationTest, SetRelationsRejectsUnknownIdsAndRepeatedPairs) {
   ASSERT_TRUE(config.ComputeAllRelations().ok());
   const CardinalRelation s = *CardinalRelation::Parse("S");
   const CardinalRelation n = *CardinalRelation::Parse("N");
-  EXPECT_EQ(config.SetRelations({{"a", "ghost", s}}).code(),
-            StatusCode::kNotFound);
+  const Status unknown = config.SetRelations({{"a", "ghost", s}});
+  EXPECT_EQ(unknown.code(), StatusCode::kNotFound);
+  EXPECT_NE(unknown.message().find("primary='a' reference='ghost'"),
+            std::string::npos)
+      << unknown;
+  EXPECT_NE(unknown.message().find("unknown region id 'ghost'"),
+            std::string::npos)
+      << unknown;
   const Status repeated =
       config.SetRelations({{"a", "b", s}, {"b", "a", n}, {"a", "b", n}});
   EXPECT_EQ(repeated.code(), StatusCode::kParseError);

@@ -270,7 +270,6 @@ void ExpectMatchesInEveryState(Configuration config, const std::string& label) {
   const Decisions records =
       ExpectMatchesBruteForce(*reopened, label + " XML round-tripped");
 
-  if (!kObsEnabled) return;
   // One rule in every state: each direction pair is decided by its class
   // code or by the resolution kernel, whatever the configuration stores,
   // so two states over the same geometry split their pairs alike.
@@ -306,7 +305,6 @@ TEST(QueryOracleTest, TouchingRectanglesMatchBruteForceInEveryState) {
 // axes, so every kCross pair, of `query` and of `related` alike, takes the
 // one-axis shortcut and Compute-CDR never runs.
 TEST(QueryOracleTest, UncomputedMapDecidesKCrossPairsWithoutComputeCdr) {
-  if (!kObsEnabled) GTEST_SKIP() << "counters compiled out";
   const Configuration config = GeneratedMap(1, 1);
   ASSERT_EQ(config.relation_store(), nullptr);
 

@@ -10,7 +10,6 @@
 
 #include "cardirect/constraint_file.h"
 #include "cardirect/xml.h"
-#include "obs/metrics.h"
 
 namespace cardir {
 namespace {
@@ -278,7 +277,6 @@ uint64_t CounterFromTable(const std::string& table, const std::string& name) {
 }
 
 TEST_F(ToolTest, StatsPrintsCountersSatisfyingEngineInvariants) {
-  if (!kObsEnabled) GTEST_SKIP() << "counters compiled out";
   const ToolRun run = RunTool({"--stats", "relations", path_, "--threads=2"});
   ASSERT_EQ(run.exit_code, 0) << run.err;
   ASSERT_NE(run.out.find("=== metrics (this run) ==="), std::string::npos);
@@ -299,7 +297,6 @@ TEST_F(ToolTest, StatsPrintsCountersSatisfyingEngineInvariants) {
 }
 
 TEST_F(ToolTest, StatsCountsEdgeWorkOnThePercentCommand) {
-  if (!kObsEnabled) GTEST_SKIP() << "counters compiled out";
   // percent always runs the trapezoid pipeline, so edge counters move.
   const ToolRun run = RunTool({"--stats", "percent", path_, "forest", "lake"});
   ASSERT_EQ(run.exit_code, 0) << run.err;
@@ -314,7 +311,6 @@ TEST_F(ToolTest, StatsCountsEdgeWorkOnThePercentCommand) {
 }
 
 TEST_F(ToolTest, StatsCountsQueryBindingsAndDirectionDecisions) {
-  if (!kObsEnabled) GTEST_SKIP() << "counters compiled out";
   // The demo's three regions: a binds 3 candidates, b 3 per a (12
   // bindings); the 6 distinct pairs each decide the direction atom. The
   // demo's boxes share no reference line, so the loaded configuration's
@@ -375,7 +371,6 @@ TEST_F(ToolTest, QueryAndRelatedIgnoreContradictingRecords) {
 }
 
 TEST_F(ToolTest, StatsJsonAndPrometheusFormats) {
-  if (!kObsEnabled) GTEST_SKIP() << "counters compiled out";
   const ToolRun json = RunTool({"--stats=json", "relations", path_});
   ASSERT_EQ(json.exit_code, 0) << json.err;
   EXPECT_NE(json.out.find("\"counters\": {"), std::string::npos);
@@ -406,10 +401,8 @@ TEST_F(ToolTest, TraceOutWritesChromeTraceJson) {
   buffer << trace_file.rdbuf();
   const std::string trace = buffer.str();
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-  if (kObsEnabled) {
-    EXPECT_NE(trace.find("\"name\": \"engine.run\""), std::string::npos);
-    EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
-  }
+  EXPECT_NE(trace.find("\"name\": \"engine.run\""), std::string::npos);
+  EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
   std::remove(trace_path.c_str());
 }
 
@@ -428,7 +421,6 @@ TEST_F(ToolTest, ThreadsEqualsFormIsAccepted) {
 }
 
 TEST_F(ToolTest, FlightRecordWritesDumpOnCleanExit) {
-  if (!kObsEnabled) GTEST_SKIP() << "flight recorder compiled out";
   const std::string record_path =
       ::testing::TempDir() + "/cardirect_flight.txt";
   const ToolRun run =
@@ -454,7 +446,6 @@ TEST_F(ToolTest, FlightRecordWritesDumpOnCleanExit) {
 }
 
 TEST_F(ToolTest, ProfileWritesCollapsedStacks) {
-  if (!kObsEnabled) GTEST_SKIP() << "profiler compiled out";
   const std::string profile_path =
       ::testing::TempDir() + "/cardirect_profile.folded";
   // The demo configuration finishes in microseconds, so the file may hold

@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -153,6 +154,38 @@ TEST(ConfigurationXmlTest, DecodesEntities) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->name(), "<&>\"'AB");
   EXPECT_EQ(loaded->image_file(), "two");
+}
+
+TEST(ConfigurationXmlTest, RejectsMalformedCharacterReferences) {
+  // Only `&#` digits `;` and `&#x` hex digits `;` are character references:
+  // trailing junk, a space or a sign is an error naming the reference.
+  for (const auto& [doc, reference] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"<Image name=\"m&#65xyz;p\"/>", "&#65xyz;"},
+           {"<Image>\n<Region id=\"r&# 66;\"/></Image>", "&# 66;"},
+           {"<Image>\n<Region id=\"r\" color=\"c&#+67;\"/></Image>",
+            "&#+67;"},
+       }) {
+    const Status status = ConfigurationFromXml(doc).status();
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << doc;
+    EXPECT_NE(status.message().find(reference), std::string::npos) << status;
+    EXPECT_EQ(status.message().rfind("xml:", 0), 0u) << status;
+  }
+}
+
+TEST(ConfigurationXmlTest, UnknownRelationRegionIsNamed) {
+  const Result<Configuration> loaded = ConfigurationFromXml(
+      "<Image><Region id=\"b\"><Polygon id=\"p\">"
+      "<Edge x=\"0\" y=\"0\"/><Edge x=\"0\" y=\"1\"/><Edge x=\"1\" "
+      "y=\"0\"/></Polygon></Region>"
+      "<Relation type=\"S\" primary=\"b\" reference=\"lake\"/></Image>");
+  ASSERT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("primary='b' reference='lake'"),
+            std::string::npos)
+      << loaded.status();
+  EXPECT_NE(loaded.status().message().find("unknown region id 'lake'"),
+            std::string::npos)
+      << loaded.status();
 }
 
 TEST(ConfigurationXmlTest, RejectsBadConfigurations) {

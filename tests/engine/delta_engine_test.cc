@@ -330,7 +330,6 @@ TEST(DeltaEngineTest, GrowFromEmptyEngine) {
   }
 }
 
-#ifdef CARDIR_OBS_ENABLED
 // The delta_engine arena (indexes + polygon extents + scratch) must
 // balance to zero when engines die, and follow the engine across moves
 // and copies like the store's own arena does.
@@ -402,7 +401,6 @@ TEST(DeltaEngineObs, IndexRebuildCounterAndPendingGauge) {
   EXPECT_EQ(now.gauge("delta.index.pending"), 1);
   EXPECT_EQ(now.Diff(before).counter("delta.index.rebuilds"), 2u);
 }
-#endif  // CARDIR_OBS_ENABLED
 
 }  // namespace
 }  // namespace cardir

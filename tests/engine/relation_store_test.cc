@@ -498,10 +498,8 @@ TEST(RelationStoreMutation, ShadowModelScriptsWithDegenerateBoxes) {
 // with patched rows on both sides of it. The arena charge must equal
 // bytes() at every step, and a copy must charge its own footprint.
 TEST(RelationStoreMutation, LongPatchListsStayCorrect) {
-#ifdef CARDIR_OBS_ENABLED
   obs::MemArena& arena = obs::MemArena::Get("relation_store");
   const int64_t live_before = arena.LiveBytes();
-#endif  // CARDIR_OBS_ENABLED
   Rng rng(0xC03Au);
   const int n = 80;
   const std::vector<Region> regions = SmallOverlapRegions(&rng, n);
@@ -509,11 +507,9 @@ TEST(RelationStoreMutation, LongPatchListsStayCorrect) {
   ASSERT_TRUE(built.ok()) << built.status();
   RelationStore store = std::move(*built);
   const auto expect_exact_charge = [&]() {
-#ifdef CARDIR_OBS_ENABLED
     store.RechargeMem();
     ASSERT_EQ(arena.LiveBytes() - live_before,
               static_cast<int64_t>(store.bytes()));
-#endif  // CARDIR_OBS_ENABLED
   };
 
   ShadowModel shadow;
@@ -567,7 +563,6 @@ TEST(RelationStoreMutation, LongPatchListsStayCorrect) {
     expect_exact_charge();
   }
 
-#ifdef CARDIR_OBS_ENABLED
   // The arena recharge must track the mutated footprint exactly.
   store.RechargeMem();
   const int64_t live_after = arena.LiveBytes();
@@ -580,10 +575,8 @@ TEST(RelationStoreMutation, LongPatchListsStayCorrect) {
               live_after + static_cast<int64_t>(copy.bytes()));
   }
   EXPECT_EQ(arena.LiveBytes(), live_after);
-#endif  // CARDIR_OBS_ENABLED
 }
 
-#ifdef CARDIR_OBS_ENABLED
 // The mem.relation_store arena must balance: live returns to zero when
 // stores die, and the charge follows the store across moves.
 TEST(RelationStoreMemstats, ArenaChargesBalanceAcrossMoveAndDestroy) {
@@ -602,7 +595,6 @@ TEST(RelationStoreMemstats, ArenaChargesBalanceAcrossMoveAndDestroy) {
   }
   EXPECT_EQ(arena.LiveBytes(), live_before);
 }
-#endif  // CARDIR_OBS_ENABLED
 
 }  // namespace
 }  // namespace cardir

@@ -49,6 +49,21 @@ TEST(WktTest, RejectsUnsupportedAndMalformedInput) {
   EXPECT_FALSE(RegionFromWkt("POLYGON ((a b, c d, e f))").ok());
 }
 
+TEST(WktTest, ParsesOnlyItsView) {
+  // Views into a longer buffer that end before or inside a coordinate: the
+  // parser stops at the view's end instead of reading the buffer's "45".
+  const std::string buffer = "POLYGON ((0 0, 4 0, 4 4, 0 45))";
+  for (const size_t length : {size_t{27}, size_t{28}}) {
+    const std::string_view view(buffer.data(), length);
+    const Result<Region> parsed = RegionFromWkt(view);
+    ASSERT_FALSE(parsed.ok()) << view;
+    EXPECT_NE(parsed.status().message().find(
+                  "at offset " + std::to_string(length)),
+              std::string::npos)
+        << view << ": " << parsed.status();
+  }
+}
+
 TEST(WktTest, HolesAreDecomposedOnImport) {
   auto region = RegionFromWkt(
       "POLYGON ((0 0, 0 10, 10 10, 10 0, 0 0), (4 4, 4 6, 6 6, 6 4, 4 4))");

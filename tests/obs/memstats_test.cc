@@ -15,8 +15,6 @@ namespace {
 // named arena and asserts on that arena alone (the integration tests below
 // window the shared arenas with before/after reads instead).
 
-#ifdef CARDIR_OBS_ENABLED
-
 TEST(MemArenaTest, AllocAndFreeTrackLiveAndPeak) {
   MemArena& arena = MemArena::Get("test_basic");
   arena.Alloc(100);
@@ -108,18 +106,6 @@ TEST(MemstatsIntegrationTest, EdgeSoaChargesAndReleasesLaneBytes) {
   }
   EXPECT_EQ(arena.LiveBytes(), live_before);
 }
-
-#else  // !CARDIR_OBS_ENABLED
-
-TEST(MemstatsTest, CompiledOutStubsAreInert) {
-  CARDIR_MEMSTAT_ALLOC("noop", 4096);
-  CARDIR_MEMSTAT_FREE("noop", 4096);
-  ResetMemPeaks();
-  SampleProcessMemory();
-  EXPECT_EQ(ReadRssBytes(), -1);
-}
-
-#endif  // CARDIR_OBS_ENABLED
 
 }  // namespace
 }  // namespace obs

@@ -281,11 +281,7 @@ TEST(MacroTest, CountMacroIncrementsWhenEnabled) {
   CARDIR_METRIC_COUNT("test.macro.count", 3);
   CARDIR_METRIC_COUNT("test.macro.count", 4);
   const MetricsSnapshot delta = CaptureMetrics().Diff(before);
-  if (kObsEnabled) {
-    EXPECT_EQ(delta.counter("test.macro.count"), 7u);
-  } else {
-    EXPECT_EQ(delta.counter("test.macro.count"), 0u);
-  }
+  EXPECT_EQ(delta.counter("test.macro.count"), 7u);
 }
 
 }  // namespace

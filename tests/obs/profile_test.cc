@@ -13,8 +13,6 @@ namespace cardir {
 namespace obs {
 namespace {
 
-#ifdef CARDIR_OBS_ENABLED
-
 // Holds the nested spans open until the sampler has seen them (checked via
 // the live collapsed output) or the deadline passes. Sampling is
 // statistical, so the test gives the sampler wall-clock room instead of
@@ -129,20 +127,6 @@ TEST(SpanStackTest, SamplesSeeOnlyOpenSpans) {
   }
   EnableSpanStacks(false);
 }
-
-#else  // !CARDIR_OBS_ENABLED
-
-TEST(ProfileTest, CompiledOutStubsReportUnimplemented) {
-  EXPECT_FALSE(StartProfiling().ok());
-  EXPECT_FALSE(ProfilingActive());
-  StopProfiling();
-  EXPECT_TRUE(FormatCollapsedStacks().empty());
-  EXPECT_TRUE(FormatProfileSummary().empty());
-  EXPECT_FALSE(WriteCollapsedProfile("anywhere").ok());
-  CARDIR_PROFILE_FRAME("noop");
-}
-
-#endif  // CARDIR_OBS_ENABLED
 
 }  // namespace
 }  // namespace obs

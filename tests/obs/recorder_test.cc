@@ -27,8 +27,6 @@ namespace cardir {
 namespace obs {
 namespace {
 
-#ifdef CARDIR_OBS_ENABLED
-
 std::string ReadFileOrEmpty(const std::string& path) {
   std::ifstream file(path);
   std::ostringstream buffer;
@@ -201,18 +199,6 @@ TEST(RecorderDeathTest, CrashDumpWritesPreCrashEvents) {
   std::remove(path.c_str());
 }
 #endif  // !CARDIR_TEST_TSAN
-
-#else  // !CARDIR_OBS_ENABLED
-
-TEST(RecorderTest, CompiledOutStubsAreInert) {
-  EnableFlightRecorder(true);
-  EXPECT_FALSE(FlightRecorderEnabled());
-  CARDIR_RECORD_EVENT(kMark, "noop", 1, 2);
-  EXPECT_EQ(ThisThreadRecordedCount(), 0u);
-  EXPECT_FALSE(DumpFlightRecordToPath("/nonexistent/dir/never_written"));
-}
-
-#endif  // CARDIR_OBS_ENABLED
 
 }  // namespace
 }  // namespace obs

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "obs/metrics.h"
 
 namespace cardir {
 namespace obs {
@@ -139,7 +138,6 @@ TEST(TraceTest, DisabledByDefaultAndSpansAreFree) {
 }
 
 TEST(TraceTest, RecordsNestedSpansWithDepth) {
-  if (!kObsEnabled) GTEST_SKIP() << "tracing compiled out";
   StartTracing();
   {
     CARDIR_TRACE_SPAN("outer");
@@ -167,7 +165,6 @@ TEST(TraceTest, RecordsNestedSpansWithDepth) {
 }
 
 TEST(TraceTest, AttributesSpansToTheRecordingThread) {
-  if (!kObsEnabled) GTEST_SKIP() << "tracing compiled out";
   StartTracing();
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
@@ -191,7 +188,6 @@ TEST(TraceTest, AttributesSpansToTheRecordingThread) {
 }
 
 TEST(TraceTest, StartTracingClearsPreviousEvents) {
-  if (!kObsEnabled) GTEST_SKIP() << "tracing compiled out";
   StartTracing();
   { CARDIR_TRACE_SPAN("stale"); }
   StopTracing();
@@ -222,17 +218,14 @@ TEST(TraceTest, WritesWellFormedChromeTraceJson) {
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   // The object form chrome://tracing and Perfetto load directly.
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  if (kObsEnabled) {
-    EXPECT_NE(json.find("\"name\": \"phase.one\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"ts\": "), std::string::npos);
-    EXPECT_NE(json.find("\"dur\": "), std::string::npos);
-    EXPECT_NE(json.find("\"tid\": "), std::string::npos);
-  }
+  EXPECT_NE(json.find("\"name\": \"phase.one\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"ts\": "), std::string::npos);
+  EXPECT_NE(json.find("\"dur\": "), std::string::npos);
+  EXPECT_NE(json.find("\"tid\": "), std::string::npos);
 }
 
 TEST(TraceTest, EscapesNamesInJson) {
-  if (!kObsEnabled) GTEST_SKIP() << "tracing compiled out";
   StartTracing();
   { CARDIR_TRACE_SPAN("quote\"back\\slash"); }
   StopTracing();

@@ -7,6 +7,13 @@
 namespace cardir {
 namespace {
 
+// The builds that keep debug checks, restated from util/logging.h's rule.
+#if defined(CARDIR_AUDIT_ENABLED) || !defined(NDEBUG)
+constexpr bool kDchecksEvaluated = true;
+#else
+constexpr bool kDchecksEvaluated = false;
+#endif
+
 TEST(LoggingTest, SetAndGetLevel) {
   const LogLevel original = GetLogLevel();
   SetLogLevel(LogLevel::kError);
@@ -91,6 +98,31 @@ TEST(LoggingDeathTest, CheckOkAbortsOnError) {
 TEST(LoggingTest, CheckPassesSilently) {
   CARDIR_CHECK(true) << "never rendered";
   CARDIR_CHECK_OK(Status::Ok());
+}
+
+TEST(LoggingTest, DcheckEvaluatesOnlyInDebugAndAuditBuilds) {
+  int evaluations = 0;
+  auto holds = [&evaluations]() {
+    ++evaluations;
+    return true;
+  };
+  CARDIR_DCHECK(holds()) << "never rendered";
+  EXPECT_EQ(evaluations, kDchecksEvaluated ? 1 : 0);
+}
+
+TEST(LoggingDeathTest, DcheckFailureAbortsOnlyInDebugAndAuditBuilds) {
+  int evaluations = 0;
+  auto fails = [&evaluations]() {
+    ++evaluations;
+    return false;
+  };
+  if (kDchecksEvaluated) {
+    EXPECT_DEATH(CARDIR_DCHECK(fails()) << "math broke",
+                 "CHECK failed: fails\\(\\)");
+  } else {
+    CARDIR_DCHECK(fails()) << "math broke";  // Parsed, never evaluated.
+    EXPECT_EQ(evaluations, 0);
+  }
 }
 
 }  // namespace

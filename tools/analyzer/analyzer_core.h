@@ -12,7 +12,7 @@
 // deliberate baseline — it needs zero dependencies, runs everywhere the
 // project builds, and two of the five checks (obs-macro-side-effect and
 // the suppression comments) are *only* expressible at token level because
-// the constructs they police vanish from the AST under CARDIR_OBS=OFF /
+// the constructs they police vanish from the AST under CARDIR_AUDIT=OFF /
 // macro expansion.
 
 #ifndef CARDIR_TOOLS_ANALYZER_ANALYZER_CORE_H_

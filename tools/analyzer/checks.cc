@@ -21,10 +21,12 @@
 //                        `allow(float-eq)` comment with a justification.
 //  obs-macro-side-effect An argument of CARDIR_METRIC_*/CARDIR_TRACE_SPAN/
 //                        CARDIR_AUDIT/CARDIR_RECORD_EVENT/CARDIR_MEMSTAT_*/
-//                        CARDIR_PROFILE_FRAME contains ++/--/assignment.
-//                        Those macros compile to (void)sizeof under
-//                        CARDIR_OBS=OFF / CARDIR_AUDIT=OFF, so the side
-//                        effect silently vanishes in those builds.
+//                        CARDIR_PROFILE_FRAME/CARDIR_DCHECK contains
+//                        ++/--/assignment. CARDIR_AUDIT and CARDIR_DCHECK
+//                        do not evaluate their arguments under
+//                        CARDIR_AUDIT=OFF (DCHECK: with NDEBUG), nor
+//                        CARDIR_RECORD_EVENT while the recorder is
+//                        disabled, so the side effect silently vanishes.
 //  lock-across-compute   A scoped lock (lock_guard/unique_lock/scoped_lock/
 //                        shared_lock) is alive across a ComputeCdr*/
 //                        ComputeRelationStore call in src/engine —
@@ -510,7 +512,7 @@ const std::set<std::string>& VanishingMacros() {
       "CARDIR_METRIC_OBSERVE", "CARDIR_TRACE_SPAN",
       "CARDIR_AUDIT",          "CARDIR_RECORD_EVENT",
       "CARDIR_MEMSTAT_ALLOC",  "CARDIR_MEMSTAT_FREE",
-      "CARDIR_PROFILE_FRAME",
+      "CARDIR_PROFILE_FRAME",  "CARDIR_DCHECK",
   };
   return kMacros;
 }
@@ -536,8 +538,9 @@ void CheckObsMacroSideEffect(const FileTokens& file,
             "obs-macro-side-effect", file.path, tokens[k].line,
             "argument of " + tokens[i].text + " contains '" + tokens[k].text +
                 "', a side effect that silently vanishes when the macro "
-                "compiles to a no-op (CARDIR_OBS=OFF / CARDIR_AUDIT=OFF); "
-                "hoist the side effect out of the macro argument"});
+                "skips its arguments (CARDIR_AUDIT=OFF, CARDIR_DCHECK under "
+                "NDEBUG, or a disabled recorder); hoist the side effect out "
+                "of the macro argument"});
         break;  // One diagnostic per macro invocation.
       }
     }
@@ -604,8 +607,8 @@ const std::vector<std::pair<std::string, std::string>>& CheckCatalog() {
        "==/!= on floating-point operands in src/core + src/geometry outside "
        "annotated proven-exact sites"},
       {"obs-macro-side-effect",
-       "side-effecting argument to a macro that compiles out under "
-       "CARDIR_OBS=OFF / CARDIR_AUDIT=OFF"},
+       "side-effecting argument to a macro that skips its arguments under "
+       "CARDIR_AUDIT=OFF or a disabled recorder"},
       {"lock-across-compute",
        "mutex held across a ComputeCdr*/ComputeRelationStore call in "
        "src/engine"},

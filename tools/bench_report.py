@@ -127,7 +127,7 @@ def main():
     telemetry_rows = sum(1 for run in runs if run.get("mem_total_peak_bytes"))
     if telemetry_rows == 0:
         print("\nbench_report: no memory-telemetry columns found "
-              "(ledger predates obs memstats or CARDIR_OBS=OFF)",
+              "(ledger predates obs memstats)",
               file=sys.stderr)
 
     by_key = {row_key(run): run for run in runs}

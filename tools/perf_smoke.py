@@ -10,9 +10,9 @@ skipped, as are rows under --min-ms, whose wall times are scheduler noise.
 
 Memory gate: rows carrying the mem_total_peak_bytes column (obs memory
 telemetry) are additionally checked against --mem-threshold (default 1.50).
-Rows whose baseline lacks the column (older ledgers, CARDIR_OBS=OFF runs)
-or sits under --min-mem-bytes are skipped — peaks of a few KiB are
-allocator noise, not a leak signal.
+Rows whose baseline lacks the column (older ledgers) or sits under
+--min-mem-bytes are skipped — peaks of a few KiB are allocator noise, not
+a leak signal.
 
 Usage:
   tools/perf_smoke.py --baseline BENCH_engine.json --fresh fresh.json \
